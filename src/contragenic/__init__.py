@@ -22,6 +22,7 @@ from .exact import (
     TSNormalizationError,
     ball_integral,
     ball_monomial_integral,
+    moment_pairing,
     scalar_pairing,
     sphere_integral,
     sphere_monomial_integral,
@@ -73,6 +74,7 @@ from .spaces import (
     ambigenic_basis,
     ambigenic_coefficient,
     ambigenic_minus_norm_sq,
+    ambigenic_norm_sq,
     contragenic_basis,
     contragenic_norm_sq,
     dimension_table,

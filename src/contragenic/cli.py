@@ -11,7 +11,8 @@ bergman-eval  evaluate the degree-n Bergman kernel pair at two points
 quadcheck     compare exact inner products against the quadrature harness
 
 Exit codes: 0 success, 1 mathematical failure, 2 usage error, 3 I/O error,
-4 resource cap exceeded.  Exact suites are capped at degree 12 by default
+4 resource cap exceeded.  Every subcommand, decompose included (by the
+highest degree its document names), is capped at degree 12 by default
 (rationals grow factorially); pass --cap-override to lift the guard.
 """
 
@@ -34,14 +35,14 @@ from .fieldio import (
     read_field_document,
     render_value,
 )
-from .fields import VecField
+from .fields import VecField, norm_sq
 from .harmonic import degree_basis, uv_norm_sq
 from .monogenic import monogenic_basis, recombination_coeff, xy_norm_sq
 from .quadrature import quad_crosscheck
 from .spaces import (
     ambigenic_basis,
     ambigenic_coefficient,
-    ambigenic_minus_norm_sq,
+    ambigenic_norm_sq,
     contragenic_basis,
     contragenic_norm_sq,
     dimension_table,
@@ -256,10 +257,7 @@ def _basis_rows(kind: str, n: int, latex: bool) -> list[list]:
             shown = (
                 _ambigenic_structural_latex(a.kind, n, a.m) if latex else str(a.field)
             )
-            if a.kind.endswith("+"):
-                norm = xy_norm_sq(a.kind[0], n, a.m)
-            else:
-                norm = ambigenic_minus_norm_sq(a.kind[0], n, a.m)
+            norm = ambigenic_norm_sq(a.kind, n, a.m)
             rows.append([a.kind, n, a.m, shown, render_value(norm), float(norm)])
     elif kind == "contragenic":
         if n < 1:
@@ -395,13 +393,26 @@ def _cmd_gram(args) -> int:
 
 def _cmd_decompose(args) -> int:
     doc = read_field_document(args.input)  # OSError -> 3, DocumentError -> 2
+    _check_cap(doc.degree(), args.cap_override)
     field = doc.to_field()
     try:
         result = decompose(field)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MATH_FAIL
+    # self-checks against the input: reconstruction and Parseval
+    if result.total() != field:
+        print("error: the parts do not sum back to the input field", file=sys.stderr)
+        return EXIT_MATH_FAIL
     norms = norm_report(result)
+    input_norm_sq = norm_sq(field)
+    if norms.total_norm_sq != input_norm_sq:
+        print(
+            f"error: Parseval fails: the parts have squared norm "
+            f"{norms.total_norm_sq}, the input {input_norm_sq}",
+            file=sys.stderr,
+        )
+        return EXIT_MATH_FAIL
     coefficients = [
         {
             "n": degree,
@@ -415,15 +426,9 @@ def _cmd_decompose(args) -> int:
         "format-version": 1,
         "kind": "decomposition",
         "coefficients": coefficients,
-        "monogenic": json.loads(
-            FieldDocument.from_field(result.monogenic.as_vec()).to_json()
-        ),
-        "antimonogenic": json.loads(
-            FieldDocument.from_field(result.antimonogenic.as_vec()).to_json()
-        ),
-        "contragenic": json.loads(
-            FieldDocument.from_field(result.contragenic).to_json()
-        ),
+        "monogenic": FieldDocument.from_field(result.monogenic.as_vec()).to_dict(),
+        "antimonogenic": FieldDocument.from_field(result.antimonogenic.as_vec()).to_dict(),
+        "contragenic": FieldDocument.from_field(result.contragenic).to_dict(),
         "norms": {
             "total": render_value(norms.total_norm_sq),
             "ambigenic": render_value(norms.ambigenic_norm_sq),
@@ -538,6 +543,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_cap_override(p):
+        p.add_argument(
+            "--cap-override",
+            action="store_true",
+            help=f"allow degrees above the default cap {DEFAULT_DEGREE_CAP}",
+        )
+
     def add_common(p, degree_flag=True):
         p.add_argument(
             "--format",
@@ -546,11 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="output format (default json)",
         )
         p.add_argument("--output", help="write the report to this path")
-        p.add_argument(
-            "--cap-override",
-            action="store_true",
-            help=f"allow degrees above the default cap {DEFAULT_DEGREE_CAP}",
-        )
+        add_cap_override(p)
 
     p_basis = sub.add_parser("basis", help="emit a basis table")
     p_basis.add_argument("--kind", choices=BASIS_KINDS, required=True)
@@ -567,6 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec = sub.add_parser("decompose", help="decompose a field document")
     p_dec.add_argument("input", help="path to a field document (JSON)")
     p_dec.add_argument("--output", help="write the decomposition to this path")
+    add_cap_override(p_dec)
     p_dec.set_defaults(handler=_cmd_decompose)
 
     p_gram = sub.add_parser("gram", help="print an exact Gram matrix")

@@ -37,6 +37,7 @@ from .monogenic import monogenic_element
 from .spaces import (
     ambigenic_basis,
     ambigenic_coefficient,
+    ambigenic_norm_sq,
     contragenic_basis,
     contragenic_norm_sq,
 )
@@ -82,10 +83,9 @@ def decompose(f: VecField) -> Decomposition:
     Rejects non-harmonic input, reporting the offending Laplacian residual.
     The output is deterministic and reconstructs the input exactly.
     """
-    residuals = [p.laplacian() for p in f.components()]
-    if any(not r.is_zero() for r in residuals):
-        offending = next(str(r) for r in residuals if not r.is_zero())
-        raise ValueError(f"input is not harmonic: Laplacian residual {offending}")
+    for p in f.components():
+        if not p.is_harmonic():
+            raise ValueError(f"input is not harmonic: Laplacian residual {p.laplacian()}")
 
     monogenic = QuatField.zero()
     antimonogenic = QuatField.zero()
@@ -105,7 +105,9 @@ def decompose(f: VecField) -> Decomposition:
         plus_coeffs: dict[tuple[str, int], Fraction] = {}
         minus_coeffs: dict[tuple[str, int], Fraction] = {}
         for element in ambigenic_basis(degree):
-            coeff = inner_product(part, element.field) / norm_sq(element.field)
+            coeff = inner_product(part, element.field) / ambigenic_norm_sq(
+                element.kind, degree, element.m
+            )
             if not coeff:
                 continue
             coefficients[(degree, element.kind, element.m)] = coeff

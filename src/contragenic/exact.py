@@ -17,6 +17,26 @@ decided exactly rather than up to rounding.  Three carriers live here:
 Closed-form monomial integrals over the unit ball B^3 and the unit sphere
 S^2 complete the module; they are the primitive that makes every L2 inner
 product in the package an exact computation.
+
+``scalar_pairing`` is the one entry point for the L2(B^3) pairing of two
+scalar polynomials and serves it by one of two paths:
+
+* the Fischer path, taken when both polynomials are harmonic.  For harmonic
+  homogeneous p, q of degree n the Fischer inner product identity
+  (Axler, Bourdon, Ramey, *Harmonic Function Theory*, ch. 5) gives the
+  sphere integral as 4 pi sum_alpha alpha! p_alpha q_alpha / (2n+1)!!, and
+  the radial integral contributes 1/(2n+3).  Every homogeneous part of a
+  harmonic polynomial is harmonic (the Laplacian lowers the degree by
+  exactly 2) and harmonic parts of different degrees are L2(B^3)-orthogonal,
+  so for any harmonic p, q the pairing is a sum over their shared monomials:
+
+      <p, q> = pi * sum_{alpha in supp p & supp q} w(alpha) p_alpha q_alpha,
+      w(a, b, c) = 4 a! b! c! / ((2|alpha|+3) (2|alpha|+1)!!),
+
+  which costs O(min(|p|, |q|)) lookups;
+* the moment path ``moment_pairing`` for everything else: a double loop over
+  term pairs against the closed-form ball moments, O(|p| |q|).  It is exact
+  for every input and is the oracle the Fischer path is tested against.
 """
 
 from __future__ import annotations
@@ -53,7 +73,7 @@ class TriPoly:
     structural equality of polynomials.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_harmonic")
 
     def __init__(self, terms: Mapping[Monomial, int | Fraction] | None = None):
         clean: dict[Monomial, Fraction] = {}
@@ -169,14 +189,31 @@ class TriPoly:
         return result
 
     def laplacian(self) -> TriPoly:
-        return (
-            self.partial(0).partial(0)
-            + self.partial(1).partial(1)
-            + self.partial(2).partial(2)
-        )
+        out: dict[Monomial, Fraction] = {}
+        for (a, b, c), coeff in self.terms.items():
+            # a factor of 0 leaves the term out, so no exponent goes negative
+            for exps, factor in (
+                ((a - 2, b, c), a * (a - 1)),
+                ((a, b - 2, c), b * (b - 1)),
+                ((a, b, c - 2), c * (c - 1)),
+            ):
+                if factor:
+                    out[exps] = out.get(exps, 0) + coeff * factor
+        result = TriPoly.__new__(TriPoly)
+        result.terms = {exps: coeff for exps, coeff in out.items() if coeff}
+        return result
 
     def is_harmonic(self) -> bool:
-        return not self.laplacian().terms
+        """True when the Laplacian vanishes; computed once per object.
+
+        The memo is sound because no operation mutates ``terms`` after
+        construction: every result is a new object with an empty memo.
+        """
+        try:
+            return self._harmonic
+        except AttributeError:
+            self._harmonic = not self.laplacian().terms
+            return self._harmonic
 
     # -- queries -----------------------------------------------------------
 
@@ -198,10 +235,15 @@ class TriPoly:
         buckets: dict[int, dict[Monomial, Fraction]] = {}
         for exps, coeff in self.terms.items():
             buckets.setdefault(sum(exps), {})[exps] = coeff
+        # the Laplacian lowers degree by exactly 2, so the parts of a
+        # polynomial known to be harmonic are harmonic
+        harmonic = getattr(self, "_harmonic", False)
         out = {}
         for degree, terms in buckets.items():
             part = TriPoly.__new__(TriPoly)
             part.terms = terms
+            if harmonic:
+                part._harmonic = True
             out[degree] = part
         return out
 
@@ -677,11 +719,39 @@ def sphere_integral(p: TriPoly) -> PiRational:
     return PiRational(total)
 
 
+@lru_cache(maxsize=None)
+def _fischer_weight(a: int, b: int, c: int) -> Fraction:
+    """w(a, b, c) = 4 a! b! c! / ((2n+3) (2n+1)!!) with n = a+b+c, in units of pi."""
+    n = a + b + c
+    num = 4 * math.factorial(a) * math.factorial(b) * math.factorial(c)
+    return Fraction(num, (2 * n + 3) * double_factorial(2 * n + 1))
+
+
 def scalar_pairing(p: TriPoly, q: TriPoly) -> PiRational:
     """Exact L2(B^3) pairing of two scalar polynomials, integral of p*q.
 
-    Works term-by-term without forming the product polynomial; this is the
-    hot path of every Gram computation.
+    The hot path of every Gram computation.  Harmonic pairs take the Fischer
+    path (a weighted sum over shared monomials); any other pair goes to
+    ``moment_pairing``.  Both are exact and agree wherever both apply.
+    """
+    if not (p.is_harmonic() and q.is_harmonic()):
+        return moment_pairing(p, q)
+    if len(q.terms) < len(p.terms):
+        p, q = q, p
+    other = q.terms
+    total = Fraction(0)
+    for exps, coeff in p.terms.items():
+        match = other.get(exps)
+        if match is not None:
+            total += _fischer_weight(*exps) * coeff * match
+    return PiRational(total)
+
+
+def moment_pairing(p: TriPoly, q: TriPoly) -> PiRational:
+    """Exact L2(B^3) pairing of two arbitrary polynomials by ball moments.
+
+    Works term-by-term without forming the product polynomial, pairing every
+    term of p with every term of q.
     """
     total = Fraction(0)
     for (a1, b1, c1), coeff1 in p.terms.items():

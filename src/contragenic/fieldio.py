@@ -122,7 +122,18 @@ class FieldDocument:
             )
         return total
 
-    def to_json(self) -> str:
+    def degree(self) -> int:
+        """Highest degree any term names, -1 without terms.
+
+        Read from the terms alone, so a caller can refuse a document before
+        ``to_field`` builds the bases it names.
+        """
+        if self.representation == "monomial":
+            return max((t.a + t.b + t.c for t in self.monomial_terms), default=-1)
+        return max((t.n for t in self.basis_terms), default=-1)
+
+    def to_dict(self) -> dict:
+        """The JSON object of the document, as ``to_json`` serializes it."""
         if self.representation == "monomial":
             terms = [
                 {
@@ -144,12 +155,14 @@ class FieldDocument:
                 }
                 for t in self.basis_terms
             ]
-        doc = {
+        return {
             "format-version": FORMAT_VERSION,
             "representation": self.representation,
             "terms": terms,
         }
-        return json.dumps(doc, indent=2) + "\n"
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2) + "\n"
 
     @staticmethod
     def from_json(text: str) -> FieldDocument:
@@ -227,8 +240,13 @@ def _basis_field(label: str, n: int, m: int) -> VecField:
 
 
 def read_field_document(path: str) -> FieldDocument:
-    with open(path, "r", encoding="utf-8") as handle:
-        return FieldDocument.from_json(handle.read())
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"document is not valid UTF-8: {exc}") from exc
+    return FieldDocument.from_json(text)
 
 
 def write_field_document(path: str, doc: FieldDocument) -> None:

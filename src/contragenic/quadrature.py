@@ -25,14 +25,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .exact import TriPoly
 from .fields import inner_product
 
-# pi to extended (80-bit on x86) precision; harmless where longdouble == double
-_PI_LD = np.longdouble("3.14159265358979323846264338327950288")
+# numpy is imported inside the functions that use it, so that importing the
+# package (and starting the CLI) does not pay for it
+if TYPE_CHECKING:
+    import numpy as np
+
+
+@lru_cache(maxsize=None)
+def _pi_ld():
+    """pi to extended (80-bit on x86) precision; harmless where longdouble == double."""
+    import numpy as np
+
+    return np.longdouble("3.14159265358979323846264338327950288")
 
 
 def required_nodes(degree: int) -> tuple[int, int, int]:
@@ -45,6 +54,8 @@ def required_nodes(degree: int) -> tuple[int, int, int]:
 
 def _legendre_value_and_derivative(k: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """P_k and P_k' by the three-term recurrence, in the dtype of x."""
+    import numpy as np
+
     if k == 0:
         return np.ones_like(x), np.zeros_like(x)
     p_prev = np.ones_like(x)
@@ -64,6 +75,8 @@ def gauss_legendre_nodes(k: int) -> tuple[np.ndarray, np.ndarray]:
     of the standard nodes against the exact recurrence removes that error on
     platforms with a wider longdouble.
     """
+    import numpy as np
+
     x = np.polynomial.legendre.leggauss(k)[0].astype(np.longdouble)
     for _ in range(3):
         p, dp = _legendre_value_and_derivative(k, x)
@@ -75,12 +88,14 @@ def gauss_legendre_nodes(k: int) -> tuple[np.ndarray, np.ndarray]:
 
 def ball_quadrature_grid(radial: int, polar: int, azimuthal: int):
     """Cartesian quadrature nodes and weights covering the unit ball."""
+    import numpy as np
+
     r_nodes, r_weights = gauss_legendre_nodes(radial)
     r_nodes = 0.5 * (r_nodes + 1.0)  # map [-1, 1] -> [0, 1]
     r_weights = 0.5 * r_weights
     t_nodes, t_weights = gauss_legendre_nodes(polar)
-    phi = 2.0 * _PI_LD * np.arange(azimuthal, dtype=np.longdouble) / azimuthal
-    phi_weight = 2.0 * _PI_LD / azimuthal
+    phi = 2.0 * _pi_ld() * np.arange(azimuthal, dtype=np.longdouble) / azimuthal
+    phi_weight = 2.0 * _pi_ld() / azimuthal
 
     r = r_nodes[:, None, None]
     t = t_nodes[None, :, None]
@@ -98,6 +113,8 @@ def ball_quadrature_grid(radial: int, polar: int, azimuthal: int):
 
 
 def quad_scalar_product(p: TriPoly, q: TriPoly, radial: int, polar: int, azimuthal: int) -> float:
+    import numpy as np
+
     x0, x1, x2, weights = ball_quadrature_grid(radial, polar, azimuthal)
     values = p.eval_float(x0, x1, x2) * q.eval_float(x0, x1, x2)
     return float(np.sum(values * weights))
@@ -105,6 +122,8 @@ def quad_scalar_product(p: TriPoly, q: TriPoly, radial: int, polar: int, azimuth
 
 def quad_inner_product(f, g, radial: int, polar: int, azimuthal: int) -> float:
     """Numerical L2(B^3) inner product of two polynomial fields."""
+    import numpy as np
+
     x0, x1, x2, weights = ball_quadrature_grid(radial, polar, azimuthal)
     total = np.zeros_like(weights)
     for p, q in zip(f.components(), g.components()):
@@ -116,6 +135,8 @@ def quad_inner_product(f, g, radial: int, polar: int, azimuthal: int) -> float:
 
 def quad_ball_integral(p: TriPoly, radial: int, polar: int, azimuthal: int) -> float:
     """Numerical integral of a scalar polynomial over the unit ball."""
+    import numpy as np
+
     x0, x1, x2, weights = ball_quadrature_grid(radial, polar, azimuthal)
     return float(np.sum(p.eval_float(x0, x1, x2) * weights))
 

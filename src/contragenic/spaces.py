@@ -198,6 +198,13 @@ def ambigenic_minus_norm_sq(kind: str, n: int, m: int) -> PiRational:
     return PiRational(core * ratio)
 
 
+def ambigenic_norm_sq(kind: str, n: int, m: int) -> PiRational:
+    """Closed-form squared norm of the ambigenic element X+/X-/Y+/Y-(n, m)."""
+    if kind.endswith("+"):
+        return xy_norm_sq(kind[0], n, m)
+    return ambigenic_minus_norm_sq(kind[0], n, m)
+
+
 # -- the contragenic basis ------------------------------------------------------
 
 @dataclass(frozen=True)

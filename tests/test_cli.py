@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import subprocess
 import sys
 
 import pytest
 
+import contragenic.cli as cli
 from contragenic.cli import main
+from contragenic.fields import VecField
 
 
 def run_cli(*argv, capsys) -> tuple[int, str]:
@@ -152,6 +155,13 @@ class TestQuadcheckCommand:
         assert code == 1
 
 
+X2E1_DOC = {
+    "format-version": 1,
+    "representation": "monomial",
+    "terms": [{"component": 1, "a": 0, "b": 0, "c": 1, "coefficient": "1"}],
+}
+
+
 class TestDecomposeCommand:
     def write(self, tmp_path, payload) -> str:
         path = tmp_path / "field.json"
@@ -159,16 +169,7 @@ class TestDecomposeCommand:
         return str(path)
 
     def test_x2e1_flow(self, tmp_path, capsys):
-        path = self.write(
-            tmp_path,
-            {
-                "format-version": 1,
-                "representation": "monomial",
-                "terms": [
-                    {"component": 1, "a": 0, "b": 0, "c": 1, "coefficient": "1"}
-                ],
-            },
-        )
+        path = self.write(tmp_path, X2E1_DOC)
         out_path = tmp_path / "result.json"
         code = main(["decompose", path, "--output", str(out_path)])
         assert code == 0
@@ -229,6 +230,77 @@ class TestDecomposeCommand:
         capsys.readouterr()
         assert code == 3
 
+    def test_degree_cap_exits_four(self, tmp_path, capsys):
+        # without the cap the basis of degree 40 would be built first
+        path = self.write(
+            tmp_path,
+            {
+                "format-version": 1,
+                "representation": "basis-coeffs",
+                "terms": [{"label": "Z0", "n": 40, "m": 0, "coefficient": "1"}],
+            },
+        )
+        code = main(["decompose", path])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert "cap" in captured.err
+
+    def test_cap_override_lifts_the_cap(self, tmp_path, capsys):
+        # x0^13 is past the cap and not harmonic: with the flag it reaches decompose
+        path = self.write(
+            tmp_path,
+            {
+                "format-version": 1,
+                "representation": "monomial",
+                "terms": [
+                    {"component": 0, "a": 13, "b": 0, "c": 0, "coefficient": "1"}
+                ],
+            },
+        )
+        assert main(["decompose", path]) == 4
+        code = main(["decompose", path, "--cap-override"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "not harmonic" in captured.err
+
+    def test_non_utf8_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "field.json"
+        path.write_bytes(b'{"format-version": 1, "terms": ["\xff\xfe"]}')
+        code = main(["decompose", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "UTF-8" in captured.err
+
+    def test_reconstruction_mismatch_exits_one(self, tmp_path, capsys, monkeypatch):
+        real = cli.decompose
+
+        def drop_contragenic(field):
+            d = real(field)
+            return dataclasses.replace(d, contragenic=VecField.zero())
+
+        monkeypatch.setattr(cli, "decompose", drop_contragenic)
+        path = self.write(tmp_path, X2E1_DOC)
+        code = main(["decompose", path])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "sum back" in captured.err
+        assert captured.out == ""
+
+    def test_parseval_mismatch_exits_one(self, tmp_path, capsys, monkeypatch):
+        real = cli.norm_report
+
+        def doubled_total(d):
+            report = real(d)
+            return dataclasses.replace(report, total_norm_sq=report.total_norm_sq.scale(2))
+
+        monkeypatch.setattr(cli, "norm_report", doubled_total)
+        path = self.write(tmp_path, X2E1_DOC)
+        code = main(["decompose", path])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "Parseval" in captured.err
+        assert captured.out == ""
+
 
 class TestExitCodes:
     def test_usage_error(self, capsys):
@@ -264,3 +336,16 @@ def test_console_entry_point_runs():
     )
     assert result.returncode == 0
     assert "matches_expected" in result.stdout
+
+
+def test_cli_import_does_not_load_numpy():
+    result = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, contragenic.cli; assert 'numpy' not in sys.modules, 'numpy loaded'",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr

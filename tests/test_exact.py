@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contragenic import (
     PiRational,
@@ -14,13 +16,15 @@ from contragenic import (
     TSNormalizationError,
     ball_integral,
     ball_monomial_integral,
+    inner_product,
+    moment_pairing,
     scalar_pairing,
     sphere_monomial_integral,
 )
 from contragenic.fields import VecField
 from contragenic.quadrature import quad_crosscheck
 
-from util import random_tripoly
+from util import degree_system, random_tripoly
 
 X0 = TriPoly.variable(0)
 X1 = TriPoly.variable(1)
@@ -141,6 +145,93 @@ class TestBallIntegral:
         q = random_tripoly(rng, 6, terms=6)
         assert (ball_integral(p) + ball_integral(q)) == ball_integral(p + q)
         assert scalar_pairing(p, q) == ball_integral(p * q)
+
+
+def _basis_components(max_degree: int) -> list[TriPoly]:
+    """Distinct nonzero components of the orthogonal systems of degree <= max_degree."""
+    seen: dict[TriPoly, None] = {}
+    for n in range(max_degree + 1):
+        for field in degree_system(n):
+            for poly in field.components():
+                if not poly.is_zero():
+                    seen.setdefault(poly)
+    return list(seen)
+
+
+BASIS_COMPONENTS = _basis_components(6)
+SYSTEM = [field for n in range(6) for field in degree_system(n)]
+
+
+def _moment_inner_product(f, g) -> PiRational:
+    total = PiRational.zero()
+    for p, q in zip(f.components(), g.components()):
+        total = total + moment_pairing(p, q)
+    return total
+
+
+class TestPairingPaths:
+    """The Fischer path of ``scalar_pairing`` against the moment oracle."""
+
+    def test_every_pair_of_basis_components(self):
+        # same-degree pairs take the Fischer sum; cross-degree pairs must vanish
+        comps = BASIS_COMPONENTS
+        assert len({p.degree() for p in comps}) == 7
+        for i, p in enumerate(comps):
+            for q in comps[i:]:
+                assert scalar_pairing(p, q) == moment_pairing(p, q), (p, q)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, len(SYSTEM) - 1),
+                st.fractions(min_value=-9, max_value=9, max_denominator=9),
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        st.lists(
+            st.tuples(
+                st.integers(0, len(SYSTEM) - 1),
+                st.fractions(min_value=-9, max_value=9, max_denominator=9),
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+    )
+    def test_mixed_degree_combinations(self, f_terms, g_terms):
+        f = VecField.zero()
+        for index, coeff in f_terms:
+            f = f + SYSTEM[index].scale(coeff)
+        g = VecField.zero()
+        for index, coeff in g_terms:
+            g = g + SYSTEM[index].scale(coeff)
+        assert f.is_harmonic() and g.is_harmonic()
+        assert inner_product(f, g) == _moment_inner_product(f, g)
+
+    def test_non_harmonic_takes_moment_path(self):
+        # x0^2 and 1 share no monomial, so the Fischer sum alone would give 0
+        x0_sq = TriPoly.monomial((2, 0, 0))
+        one = TriPoly.const(1)
+        assert not x0_sq.is_harmonic() and one.is_harmonic()
+        assert scalar_pairing(x0_sq, one) == PiRational(Fraction(4, 15))
+        assert scalar_pairing(one, x0_sq) == PiRational(Fraction(4, 15))
+
+    def test_harmonic_memo_is_per_object(self):
+        harmonic = X0 * X0 - X1 * X1
+        non_harmonic = X0 * X0
+        assert harmonic.is_harmonic() and not non_harmonic.is_harmonic()
+        assert not (harmonic + non_harmonic).is_harmonic()
+        assert (harmonic + harmonic.scale(3)).is_harmonic()
+        # parts of a known-harmonic polynomial are harmonic; a harmonic part of a
+        # non-harmonic polynomial is found so on its own
+        mixed = X0 + X0 * X0
+        assert not mixed.is_harmonic()
+        parts = mixed.homogeneous_parts()
+        assert parts[1].is_harmonic() and not parts[2].is_harmonic()
+        whole = X1 + harmonic
+        assert whole.is_harmonic()
+        assert all(part.is_harmonic() for part in whole.homogeneous_parts().values())
 
 
 class TestSphereIntegral:
