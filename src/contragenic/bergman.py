@@ -112,6 +112,17 @@ def _coerce_vector_field(f) -> VecField:
     return f
 
 
+def _projected(f: VecField, n: int) -> VecField:
+    """The degree-n Bergman projection of an already coerced field."""
+    projected = VecField.zero()
+    for pair in kernel(n).pairs:
+        pairing = inner_product(pair.right, f)
+        coeff = -pair.weight * pairing.q
+        if coeff:
+            projected = projected + pair.left.scale(coeff)
+    return projected
+
+
 def project(f, n: int) -> ProjectionResult:
     """Apply the degree-n Bergman operator to a vector-valued polynomial field.
 
@@ -122,12 +133,7 @@ def project(f, n: int) -> ProjectionResult:
     whence the sign flip against the stored negative weights.
     """
     f = _coerce_vector_field(f)
-    projected = VecField.zero()
-    for pair in kernel(n).pairs:
-        pairing = inner_product(pair.right, f)
-        coeff = -pair.weight * pairing.q
-        if coeff:
-            projected = projected + pair.left.scale(coeff)
+    projected = _projected(f, n)
     residual = f - projected
     return ProjectionResult(projected, residual, norm_sq(projected), norm_sq(residual))
 
@@ -143,7 +149,7 @@ def project_truncated(f, max_degree: int) -> ProjectionResult:
         raise ValueError("max_degree must be >= 0")
     projected = VecField.zero()
     for n in range(max_degree + 1):
-        projected = projected + project(f, n).projected
+        projected = projected + _projected(f, n)
     residual = f - projected
     return ProjectionResult(projected, residual, norm_sq(projected), norm_sq(residual))
 

@@ -37,7 +37,7 @@ from .fieldio import (
 )
 from .fields import VecField, norm_sq
 from .harmonic import degree_basis, uv_norm_sq
-from .monogenic import monogenic_basis, recombination_coeff, xy_norm_sq
+from .monogenic import monogenic_basis, xy_norm_sq, xy_recipe
 from .quadrature import quad_crosscheck
 from .spaces import (
     ambigenic_basis,
@@ -45,6 +45,7 @@ from .spaces import (
     ambigenic_norm_sq,
     contragenic_basis,
     contragenic_norm_sq,
+    contragenic_recipe,
     dimension_table,
     expected_dimensions,
     gram_matrix,
@@ -120,15 +121,13 @@ def _poly_latex(p: TriPoly) -> str:
 
 
 def _uv_symbol(kind: str, n: int, m: int) -> str:
-    return f"\\widehat{{{'U' if kind == 'U' else 'V'}}}^{{{n}}}_{{{m}}}"
+    return f"\\widehat{{{kind}}}^{{{n}}}_{{{m}}}"
 
 
 def _combo_latex(terms: list[tuple[Fraction, str]]) -> str:
-    """Linear combination of named symbols, zero coefficients dropped."""
+    """Linear combination of named symbols with nonzero coefficients."""
     pieces = []
     for coeff, symbol in terms:
-        if not coeff:
-            continue
         mag = abs(coeff)
         body = symbol if mag == 1 else f"{_frac_latex(mag)} {symbol}"
         if not pieces:
@@ -148,8 +147,13 @@ def _field_latex_from_components(parts: list[tuple[str, str]]) -> str:
     return " + ".join(pieces) if pieces else "0"
 
 
-def _uv_in_range(kind: str, n: int, m: int) -> bool:
-    return 0 <= m <= n and not (kind == "V" and m == 0)
+def _recipe_latex(name: str, n: int, parts) -> str:
+    """Render ``name = ...`` from (solid-harmonic combination, unit) pairs."""
+    pieces = [
+        (_combo_latex([(coeff, _uv_symbol(kind, n, m)) for coeff, kind, m in combo]), unit)
+        for combo, unit in parts
+    ]
+    return f"${name} = {_field_latex_from_components(pieces)}$"
 
 
 def _xy_structural_latex(kind: str, n: int, m: int) -> str:
@@ -158,68 +162,12 @@ def _xy_structural_latex(kind: str, n: int, m: int) -> str:
     if n == 0:
         e = monogenic_basis(0)[m if kind == "X" else 2].field
         return f"${name} = {_field_latex_from_components([(_poly_latex(e.c0), ''), (_poly_latex(e.c1), 'e_1'), (_poly_latex(e.c2), 'e_2')])}$"
-    scalar_kind, other_kind = ("U", "V") if kind == "X" else ("V", "U")
-    c = recombination_coeff(n, m)
-    quarter = Fraction(1, 4)
-    if kind == "X" and m == 0:
-        scalar = [(Fraction(n + 1, 2), _uv_symbol("U", n, 0))]
-        e1 = [(Fraction(1, 2), _uv_symbol("U", n, 1))] if _uv_in_range("U", n, 1) else []
-        e2 = [(Fraction(1, 2), _uv_symbol("V", n, 1))] if _uv_in_range("V", n, 1) else []
-    else:
-        scalar = (
-            [(Fraction(n + m + 1, 2), _uv_symbol(scalar_kind, n, m))]
-            if _uv_in_range(scalar_kind, n, m)
-            else []
-        )
-        e1 = []
-        if _uv_in_range(scalar_kind, n, m - 1):
-            e1.append((-c, _uv_symbol(scalar_kind, n, m - 1)))
-        if _uv_in_range(scalar_kind, n, m + 1):
-            e1.append((quarter, _uv_symbol(scalar_kind, n, m + 1)))
-        sign = Fraction(1) if kind == "X" else Fraction(-1)
-        e2 = []
-        if _uv_in_range(other_kind, n, m - 1):
-            e2.append((sign * c, _uv_symbol(other_kind, n, m - 1)))
-        if _uv_in_range(other_kind, n, m + 1):
-            e2.append((sign * quarter, _uv_symbol(other_kind, n, m + 1)))
-    parts = [
-        (_combo_latex(scalar), ""),
-        (_combo_latex(e1), "e_1"),
-        (_combo_latex(e2), "e_2"),
-    ]
-    return f"${name} = {_field_latex_from_components(parts)}$"
+    return _recipe_latex(name, n, zip(xy_recipe(kind, n, m), ("", "e_1", "e_2")))
 
 
 def _contragenic_structural_latex(label: str, n: int, m: int) -> str:
-    if label == "Z0":
-        parts = [
-            (_combo_latex([(Fraction(1), _uv_symbol("V", n, 1))]), "e_1"),
-            (_combo_latex([(Fraction(-1), _uv_symbol("U", n, 1))]), "e_2"),
-        ]
-        return f"$Z^{{{n}}}_{{0}} = {_field_latex_from_components(parts)}$"
-    d = Fraction((n - m) * (n - m + 1))
-    if label == "Z+":
-        name = f"Z^{{{n}}}_{{{m},+}}"
-        e1_kind, e2_kind = "V", "U"
-        e1_signs, e2_signs = (d, Fraction(1)), (d, Fraction(-1))
-    else:
-        name = f"Z^{{{n}}}_{{{m},-}}"
-        e1_kind, e2_kind = "U", "V"
-        e1_signs, e2_signs = (d, Fraction(1)), (-d, Fraction(1))
-
-    def combo(kind: str, signs: tuple[Fraction, Fraction]):
-        # out-of-range solid harmonics (V of order 0, order above degree) drop out
-        return [
-            (coeff, _uv_symbol(kind, n, order))
-            for coeff, order in zip(signs, (m - 1, m + 1))
-            if _uv_in_range(kind, n, order)
-        ]
-
-    parts = [
-        (_combo_latex(combo(e1_kind, e1_signs)), "e_1"),
-        (_combo_latex(combo(e2_kind, e2_signs)), "e_2"),
-    ]
-    return f"${name} = {_field_latex_from_components(parts)}$"
+    name = f"Z^{{{n}}}_{{0}}" if label == "Z0" else f"Z^{{{n}}}_{{{m},{label[1]}}}"
+    return _recipe_latex(name, n, zip(contragenic_recipe(label, n, m), ("e_1", "e_2")))
 
 
 def _ambigenic_structural_latex(kind: str, n: int, m: int) -> str:

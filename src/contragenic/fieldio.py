@@ -175,7 +175,7 @@ class FieldDocument:
         version = doc.get("format-version")
         if version is None:
             raise DocumentError("missing mandatory 'format-version' field")
-        if version != FORMAT_VERSION:
+        if type(version) is not int or version != FORMAT_VERSION:
             raise DocumentError(f"unsupported format version {version!r}")
         representation = doc.get("representation")
         terms = doc.get("terms")
@@ -185,8 +185,8 @@ class FieldDocument:
             parsed_mono = []
             for entry in terms:
                 try:
-                    component = int(entry["component"])
-                    exps = (int(entry["a"]), int(entry["b"]), int(entry["c"]))
+                    component = _json_int(entry, "component")
+                    exps = tuple(_json_int(entry, key) for key in "abc")
                     coefficient = parse_rational(str(entry["coefficient"]))
                 except (KeyError, TypeError, ValueError) as exc:
                     raise DocumentError(f"bad monomial term {entry!r}: {exc}") from exc
@@ -201,8 +201,8 @@ class FieldDocument:
             for entry in terms:
                 try:
                     label = str(entry["label"])
-                    n = int(entry["n"])
-                    m = int(entry["m"])
+                    n = _json_int(entry, "n")
+                    m = _json_int(entry, "m")
                     coefficient = parse_rational(str(entry["coefficient"]))
                 except (KeyError, TypeError, ValueError) as exc:
                     raise DocumentError(f"bad basis term {entry!r}: {exc}") from exc
@@ -211,6 +211,14 @@ class FieldDocument:
                 parsed_basis.append(BasisTerm(label, n, m, coefficient))
             return FieldDocument("basis-coeffs", basis_terms=tuple(parsed_basis))
         raise DocumentError(f"unknown representation {representation!r}")
+
+
+def _json_int(entry: dict, key: str) -> int:
+    """An integer entry field; JSON floats and booleans are rejected, not cast."""
+    value = entry[key]
+    if type(value) is not int:
+        raise DocumentError(f"{key!r} must be an integer, got {value!r}")
+    return value
 
 
 def _basis_field(label: str, n: int, m: int) -> VecField:
@@ -249,11 +257,6 @@ def read_field_document(path: str) -> FieldDocument:
     return FieldDocument.from_json(text)
 
 
-def write_field_document(path: str, doc: FieldDocument) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(doc.to_json())
-
-
 # -- report documents -----------------------------------------------------------
 
 def render_value(value) -> str:
@@ -279,9 +282,6 @@ class ReportDocument:
     columns: list[str]
     rows: list[list] = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
-
-    def add_row(self, *cells) -> None:
-        self.rows.append([render_value(c) if not isinstance(c, (str, int, float)) else c for c in cells])
 
     def to_json(self) -> str:
         doc = {

@@ -61,10 +61,6 @@ class VecField:
     def is_zero(self) -> bool:
         return self.c0.is_zero() and self.c1.is_zero() and self.c2.is_zero()
 
-    def is_vector_valued(self) -> bool:
-        """True when the scalar (e0) component vanishes identically."""
-        return self.c0.is_zero()
-
     def is_harmonic(self) -> bool:
         return all(p.is_harmonic() for p in self.components())
 

@@ -156,14 +156,40 @@ def solid_harmonic(kind: str, n: int, m: int) -> SolidHarmonic:
 def uv_term(kind: str, n: int, m: int) -> TriPoly:
     """Solid-harmonic polynomial extended by zero outside the index range.
 
-    Returns the zero polynomial for m > n and for V with m = 0; closed-form
-    recombinations use this to stay valid at boundary orders.
+    Returns the zero polynomial for m > n and for V with m = 0.
     """
     if kind not in ("U", "V"):
         raise ValueError(f"kind must be 'U' or 'V', got {kind!r}")
     if m < 0:
         raise ValueError("order must be >= 0")
     return _solid_poly(kind, n, m)
+
+
+#: A linear combination of degree-n solid harmonics, as (coefficient, kind,
+#: order) triples with kind 'U' or 'V'.
+UVCombo = tuple[tuple[Fraction, str, int], ...]
+
+
+def uv_combo(n: int, *terms: tuple[int | Fraction, str, int]) -> UVCombo:
+    """The combination of the given (coefficient, kind, order) terms.
+
+    Zero coefficients and solid harmonics that do not exist at degree n
+    (order above n, or V of order 0) are dropped, so a closed form written
+    for general orders stays valid at its boundary orders.
+    """
+    return tuple(
+        (Fraction(coeff), kind, m)
+        for coeff, kind, m in terms
+        if coeff and m <= n and not (kind == "V" and m == 0)
+    )
+
+
+def uv_poly(n: int, combo: UVCombo) -> TriPoly:
+    """Evaluate a combination of degree-n solid harmonics as a polynomial."""
+    total = TriPoly.zero()
+    for coeff, kind, m in combo:
+        total = total + uv_term(kind, n, m).scale(coeff)
+    return total
 
 
 def degree_basis(n: int) -> list[SolidHarmonic]:

@@ -20,7 +20,9 @@ degree-n solid harmonics:
                                 - (c U(n,m-1) + 1/4 U(n,m+1)) e2
 
 valid for n >= 1 with the convention that out-of-range solid harmonics
-(order above degree, or V of order 0) are zero.  The top-order elements
+(order above degree, or V of order 0) are zero.  ``xy_recipe`` is the one
+place the code encodes these coefficients; the closed-form polynomials and
+the CLI's LaTeX tables are both derived from it.  The top-order elements
 X(n, n+1), Y(n, n+1) are monogenic constants: they do not depend on x0 and
 equal the negatives of their conjugates.
 
@@ -55,7 +57,7 @@ from .fields import (
     inner_product,
     sc,
 )
-from .harmonic import solid_harmonic, uv_norm_sq, uv_term
+from .harmonic import UVCombo, solid_harmonic, uv_combo, uv_norm_sq, uv_poly
 
 _ZERO = TriPoly.zero()
 
@@ -119,9 +121,27 @@ def monogenic_basis(n: int) -> list[MonogenicBasisElement]:
     return out
 
 
-def recombination_coeff(n: int, m: int) -> Fraction:
-    """The coefficient c(n, m) = (n+m)(n+m+1)/4 of the closed form."""
-    return Fraction((n + m) * (n + m + 1), 4)
+def xy_recipe(kind: str, n: int, m: int) -> tuple[UVCombo, UVCombo, UVCombo]:
+    """The (1, e1, e2) components of X(n, m) / Y(n, m) as combinations of
+    degree-n solid harmonics: the closed-form recombination, for n >= 1."""
+    _check_xy_indices(kind, n, m)
+    if n < 1:
+        raise ValueError("the closed form is stated for degrees n >= 1")
+    half = Fraction(1, 2)
+    quarter = Fraction(1, 4)
+    if kind == "X" and m == 0:
+        return (
+            uv_combo(n, (Fraction(n + 1, 2), "U", 0)),
+            uv_combo(n, (half, "U", 1)),
+            uv_combo(n, (half, "V", 1)),
+        )
+    c = Fraction((n + m) * (n + m + 1), 4)
+    same, other, sign = ("U", "V", 1) if kind == "X" else ("V", "U", -1)
+    return (
+        uv_combo(n, (Fraction(n + m + 1, 2), same, m)),
+        uv_combo(n, (-c, same, m - 1), (quarter, same, m + 1)),
+        uv_combo(n, (sign * c, other, m - 1), (sign * quarter, other, m + 1)),
+    )
 
 
 def xy_closed_form(kind: str, n: int, m: int) -> QuatField:
@@ -131,26 +151,7 @@ def xy_closed_form(kind: str, n: int, m: int) -> QuatField:
     with the derivative construction as an exact polynomial identity for
     every n >= 1.  Degree 0 is outside its stated range and is rejected.
     """
-    _check_xy_indices(kind, n, m)
-    if n < 1:
-        raise ValueError("the closed form is stated for degrees n >= 1")
-    half = Fraction(1, 2)
-    quarter = Fraction(1, 4)
-    if kind == "X" and m == 0:
-        c0 = uv_term("U", n, 0).scale(Fraction(n + 1, 2))
-        c1 = uv_term("U", n, 1).scale(half)
-        c2 = uv_term("V", n, 1).scale(half)
-        return QuatField(c0, c1, c2, _ZERO)
-    c = recombination_coeff(n, m)
-    if kind == "X":
-        c0 = uv_term("U", n, m).scale(Fraction(n + m + 1, 2))
-        c1 = -(uv_term("U", n, m - 1).scale(c) - uv_term("U", n, m + 1).scale(quarter))
-        c2 = uv_term("V", n, m - 1).scale(c) + uv_term("V", n, m + 1).scale(quarter)
-    else:
-        c0 = uv_term("V", n, m).scale(Fraction(n + m + 1, 2))
-        c1 = -(uv_term("V", n, m - 1).scale(c) - uv_term("V", n, m + 1).scale(quarter))
-        c2 = -(uv_term("U", n, m - 1).scale(c) + uv_term("U", n, m + 1).scale(quarter))
-    return QuatField(c0, c1, c2, _ZERO)
+    return QuatField(*(uv_poly(n, part) for part in xy_recipe(kind, n, m)), _ZERO)
 
 
 def xy_norm_sq(kind: str, n: int, m: int) -> PiRational:

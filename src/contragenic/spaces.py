@@ -22,7 +22,9 @@ form a (2n-1)-dimensional space per degree n >= 1, with orthogonal basis
     Z-(n, m) = (d U(n,m-1) + U(n,m+1)) e1 + (-d V(n,m-1) + V(n,m+1)) e2
 
 for 1 <= m <= n-1, where d = d(n, m) = (n-m)(n-m+1).  Contragenic fields
-have identically zero scalar part.
+have identically zero scalar part.  ``contragenic_recipe`` is the one place
+the code encodes these coefficients; the basis polynomials and the CLI's
+LaTeX tables are both derived from it.
 
 Everything here is exact: orthogonality is decided coefficientwise, space
 dimensions come from ranks of rational Gram matrices, and the surface
@@ -39,7 +41,7 @@ from functools import lru_cache
 
 from .exact import PiRational, TriPoly, scalar_pairing, sphere_integral
 from .fields import QuatField, VecField, conj, degree_split, inner_product, vec
-from .harmonic import degree_basis, uv_term
+from .harmonic import UVCombo, degree_basis, uv_combo, uv_poly
 from .monogenic import monogenic_basis, monogenic_element, xy_norm_sq
 
 _ZERO = TriPoly.zero()
@@ -218,32 +220,39 @@ class ContragenicBasisElement:
         return f"{self.label}({self.n},{self.m}) = {self.field}"
 
 
-def _contragenic_gap(n: int, m: int) -> int:
-    return (n - m) * (n - m + 1)
+def contragenic_recipe(label: str, n: int, m: int) -> tuple[UVCombo, UVCombo]:
+    """The (e1, e2) components of a contragenic basis element as combinations
+    of degree-n solid harmonics (m is ignored for Z0)."""
+    if label == "Z0":
+        return uv_combo(n, (1, "V", 1)), uv_combo(n, (-1, "U", 1))
+    if label not in ("Z+", "Z-"):
+        raise ValueError(f"unknown contragenic label {label!r}")
+    if not 1 <= m <= n - 1:
+        raise ValueError(f"{label} order must be in 1..{n - 1}")
+    d = (n - m) * (n - m + 1)
+    if label == "Z+":
+        return (
+            uv_combo(n, (d, "V", m - 1), (1, "V", m + 1)),
+            uv_combo(n, (d, "U", m - 1), (-1, "U", m + 1)),
+        )
+    return (
+        uv_combo(n, (d, "U", m - 1), (1, "U", m + 1)),
+        uv_combo(n, (-d, "V", m - 1), (1, "V", m + 1)),
+    )
 
 
 @lru_cache(maxsize=None)
 def _contragenic_basis_cached(n: int) -> tuple[ContragenicBasisElement, ...]:
-    out = [
+    indices = [("Z0", 0)] + [(label, m) for m in range(1, n) for label in ("Z+", "Z-")]
+    return tuple(
         ContragenicBasisElement(
-            "Z0", n, 0, VecField(_ZERO, uv_term("V", n, 1), -uv_term("U", n, 1))
+            label,
+            n,
+            m,
+            VecField(_ZERO, *(uv_poly(n, part) for part in contragenic_recipe(label, n, m))),
         )
-    ]
-    for m in range(1, n):
-        d = _contragenic_gap(n, m)
-        plus = VecField(
-            _ZERO,
-            uv_term("V", n, m - 1).scale(d) + uv_term("V", n, m + 1),
-            uv_term("U", n, m - 1).scale(d) - uv_term("U", n, m + 1),
-        )
-        minus = VecField(
-            _ZERO,
-            uv_term("U", n, m - 1).scale(d) + uv_term("U", n, m + 1),
-            uv_term("V", n, m - 1).scale(-d) + uv_term("V", n, m + 1),
-        )
-        out.append(ContragenicBasisElement("Z+", n, m, plus))
-        out.append(ContragenicBasisElement("Z-", n, m, minus))
-    return tuple(out)
+        for label, m in indices
+    )
 
 
 def contragenic_basis(n: int) -> list[ContragenicBasisElement]:

@@ -20,6 +20,29 @@ def run_cli(*argv, capsys) -> tuple[int, str]:
     return code, captured.out
 
 
+#: body rows of ``basis --kind XY -n 3 --format latex``: X(3,0), the middle
+#: orders and the top order n+1, where out-of-range solid harmonics drop out
+XY3_LATEX_ROWS = [
+    r"X & 3 & 0 & $X^{3}_{0} = 2 \widehat{U}^{3}_{0} + \left(\tfrac{1}{2} \widehat{U}^{3}_{1}\right) e_1 + \left(\tfrac{1}{2} \widehat{V}^{3}_{1}\right) e_2$ & 4/9*pi & 1.3962634015954636 \\",
+    r"X & 3 & 1 & $X^{3}_{1} = \tfrac{5}{2} \widehat{U}^{3}_{1} + \left(-5 \widehat{U}^{3}_{0} + \tfrac{1}{4} \widehat{U}^{3}_{2}\right) e_1 + \left(\tfrac{1}{4} \widehat{V}^{3}_{2}\right) e_2$ & 40/9*pi & 13.962634015954636 \\",
+    r"X & 3 & 2 & $X^{3}_{2} = 3 \widehat{U}^{3}_{2} + \left(-\tfrac{15}{2} \widehat{U}^{3}_{1} + \tfrac{1}{4} \widehat{U}^{3}_{3}\right) e_1 + \left(\tfrac{15}{2} \widehat{V}^{3}_{1} + \tfrac{1}{4} \widehat{V}^{3}_{3}\right) e_2$ & 80*pi & 251.32741228718345 \\",
+    r"X & 3 & 3 & $X^{3}_{3} = \tfrac{7}{2} \widehat{U}^{3}_{3} + \left(-\tfrac{21}{2} \widehat{U}^{3}_{2}\right) e_1 + \left(\tfrac{21}{2} \widehat{V}^{3}_{2}\right) e_2$ & 1120*pi & 3518.583772020568 \\",
+    r"X & 3 & 4 & $X^{3}_{4} = \left(-14 \widehat{U}^{3}_{3}\right) e_1 + \left(14 \widehat{V}^{3}_{3}\right) e_2$ & 8960*pi & 28148.670176164545 \\",
+    r"Y & 3 & 1 & $Y^{3}_{1} = \tfrac{5}{2} \widehat{V}^{3}_{1} + \left(\tfrac{1}{4} \widehat{V}^{3}_{2}\right) e_1 + \left(-5 \widehat{U}^{3}_{0} - \tfrac{1}{4} \widehat{U}^{3}_{2}\right) e_2$ & 40/9*pi & 13.962634015954636 \\",
+    r"Y & 3 & 2 & $Y^{3}_{2} = 3 \widehat{V}^{3}_{2} + \left(-\tfrac{15}{2} \widehat{V}^{3}_{1} + \tfrac{1}{4} \widehat{V}^{3}_{3}\right) e_1 + \left(-\tfrac{15}{2} \widehat{U}^{3}_{1} - \tfrac{1}{4} \widehat{U}^{3}_{3}\right) e_2$ & 80*pi & 251.32741228718345 \\",
+    r"Y & 3 & 3 & $Y^{3}_{3} = \tfrac{7}{2} \widehat{V}^{3}_{3} + \left(-\tfrac{21}{2} \widehat{V}^{3}_{2}\right) e_1 + \left(-\tfrac{21}{2} \widehat{U}^{3}_{2}\right) e_2$ & 1120*pi & 3518.583772020568 \\",
+    r"Y & 3 & 4 & $Y^{3}_{4} = \left(-14 \widehat{V}^{3}_{3}\right) e_1 + \left(-14 \widehat{U}^{3}_{3}\right) e_2$ & 8960*pi & 28148.670176164545 \\",
+]
+#: body rows of ``basis --kind contragenic -n 3 --format latex``: Z0, Z+, Z-
+CONTRAGENIC3_LATEX_ROWS = [
+    r"Z0 & 3 & 0 & $Z^{3}_{0} = \left(\widehat{V}^{3}_{1}\right) e_1 + \left(-\widehat{U}^{3}_{1}\right) e_2$ & 16/21*pi & 2.39359440273508 \\",
+    r"Z+ & 3 & 1 & $Z^{3}_{1,+} = \left(\widehat{V}^{3}_{2}\right) e_1 + \left(6 \widehat{U}^{3}_{0} - \widehat{U}^{3}_{2}\right) e_2$ & 208/21*pi & 31.11672723555605 \\",
+    r"Z- & 3 & 1 & $Z^{3}_{1,-} = \left(6 \widehat{U}^{3}_{0} + \widehat{U}^{3}_{2}\right) e_1 + \left(\widehat{V}^{3}_{2}\right) e_2$ & 208/21*pi & 31.11672723555605 \\",
+    r"Z+ & 3 & 2 & $Z^{3}_{2,+} = \left(2 \widehat{V}^{3}_{1} + \widehat{V}^{3}_{3}\right) e_1 + \left(2 \widehat{U}^{3}_{1} - \widehat{U}^{3}_{3}\right) e_2$ & 1024/21*pi & 153.19004177504513 \\",
+    r"Z- & 3 & 2 & $Z^{3}_{2,-} = \left(2 \widehat{U}^{3}_{1} + \widehat{U}^{3}_{3}\right) e_1 + \left(-2 \widehat{V}^{3}_{1} + \widehat{V}^{3}_{3}\right) e_2$ & 1024/21*pi & 153.19004177504513 \\",
+]
+
+
 class TestBasisCommand:
     def test_uv_degree_zero_single_entry(self, capsys):
         code, out = run_cli("basis", "--kind", "UV", "-n", "0", capsys=capsys)
@@ -54,6 +77,17 @@ class TestBasisCommand:
         assert code == 0
         assert "\\widehat{V}^{2}_{1}" in out
         assert "e_1" in out and "e_2" in out
+
+    @pytest.mark.parametrize(
+        "kind, rows",
+        [("XY", XY3_LATEX_ROWS), ("contragenic", CONTRAGENIC3_LATEX_ROWS)],
+    )
+    def test_latex_rows_exact(self, kind, rows, capsys):
+        code, out = run_cli(
+            "basis", "--kind", kind, "-n", "3", "--format", "latex", capsys=capsys
+        )
+        assert code == 0
+        assert out.splitlines()[3:-1] == rows
 
     def test_deterministic_output(self, capsys):
         _, first = run_cli("basis", "--kind", "ambigenic", "-n", "2", capsys=capsys)
@@ -224,6 +258,36 @@ class TestDecomposeCommand:
         code = main(["decompose", path])
         capsys.readouterr()
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {**X2E1_DOC, "terms": [{**X2E1_DOC["terms"][0], "component": 1.9, "a": 1.7}]},
+            {**X2E1_DOC, "terms": [{**X2E1_DOC["terms"][0], "c": 1.0}]},
+            {**X2E1_DOC, "terms": [{**X2E1_DOC["terms"][0], "b": False}]},
+            {**X2E1_DOC, "format-version": 1.0},
+            {**X2E1_DOC, "format-version": True},
+            {
+                "format-version": 1,
+                "representation": "basis-coeffs",
+                "terms": [{"label": "X", "n": 2.0, "m": 1, "coefficient": "1"}],
+            },
+            {
+                "format-version": 1,
+                "representation": "basis-coeffs",
+                "terms": [{"label": "X", "n": 2, "m": True, "coefficient": "1"}],
+            },
+        ],
+        ids=["component-a", "c-float", "b-bool", "version-float", "version-bool",
+             "n-float", "m-bool"],
+    )
+    def test_non_integer_fields_exit_two(self, tmp_path, capsys, payload):
+        path = self.write(tmp_path, payload)
+        code = main(["decompose", path])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
 
     def test_missing_file_exits_three(self, capsys):
         code = main(["decompose", "/nonexistent/nowhere.json"])
