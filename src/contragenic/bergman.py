@@ -18,6 +18,17 @@ The induced operator
 is the orthogonal projection onto Vec M of degree n; it reproduces every
 degree-n Vec M element and annihilates exactly the contragenic fields.
 Kernels are kept as rank-1 tensor sums; no closed form is attempted.
+
+The norms of a projection f = Pf + r come by bilinearity, with no
+orthogonality assumed: ||Pf||^2 takes the Fischer path (Pf is a sum of
+harmonic kernel fields), <f, Pf> = sum_k c_k <psi_k, f> reuses the kernel
+pairings that produced the coefficients c_k, and
+
+    ||r||^2 = ||f||^2 - 2 <f, Pf> + ||Pf||^2.
+
+The dense, non-harmonic residual is never paired with itself, and
+Pythagoras ||f||^2 = ||Pf||^2 + ||r||^2 still tests <f, Pf> = ||Pf||^2
+between two independently computed numbers.
 """
 
 from __future__ import annotations
@@ -112,15 +123,33 @@ def _coerce_vector_field(f) -> VecField:
     return f
 
 
-def _projected(f: VecField, n: int) -> VecField:
-    """The degree-n Bergman projection of an already coerced field."""
+def _projected(f: VecField, n: int) -> tuple[VecField, Fraction]:
+    """The degree-n Bergman projection Pf_n of an already coerced field.
+
+    Also returns <f, Pf_n> / pi = sum_k c_k <psi_k, f> / pi, which the
+    kernel pairings give for free.
+    """
     projected = VecField.zero()
+    along = Fraction(0)
     for pair in kernel(n).pairs:
-        pairing = inner_product(pair.right, f)
-        coeff = -pair.weight * pairing.q
+        pairing = inner_product(pair.right, f).q
+        coeff = -pair.weight * pairing
         if coeff:
             projected = projected + pair.left.scale(coeff)
-    return projected
+            along += coeff * pairing
+    return projected, along
+
+
+def _split(f: VecField, projected: VecField, along: Fraction) -> ProjectionResult:
+    """The split f = Pf + r with both norms by bilinearity.
+
+    ||r||^2 = ||f||^2 - 2 <f, Pf> + ||Pf||^2 holds for any Pf, so it assumes
+    no orthogonality and Pythagoras stays a check of <f, Pf> = ||Pf||^2.
+    ||Pf||^2 takes the Fischer path; the dense r is never paired.
+    """
+    projected_sq = norm_sq(projected)
+    residual_sq = norm_sq(f) - PiRational(2 * along) + projected_sq
+    return ProjectionResult(projected, f - projected, projected_sq, residual_sq)
 
 
 def project(f, n: int) -> ProjectionResult:
@@ -133,9 +162,7 @@ def project(f, n: int) -> ProjectionResult:
     whence the sign flip against the stored negative weights.
     """
     f = _coerce_vector_field(f)
-    projected = _projected(f, n)
-    residual = f - projected
-    return ProjectionResult(projected, residual, norm_sq(projected), norm_sq(residual))
+    return _split(f, *_projected(f, n))
 
 
 def project_truncated(f, max_degree: int) -> ProjectionResult:
@@ -148,10 +175,12 @@ def project_truncated(f, max_degree: int) -> ProjectionResult:
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
     projected = VecField.zero()
+    along = Fraction(0)
     for n in range(max_degree + 1):
-        projected = projected + _projected(f, n)
-    residual = f - projected
-    return ProjectionResult(projected, residual, norm_sq(projected), norm_sq(residual))
+        part, part_along = _projected(f, n)
+        projected = projected + part
+        along += part_along
+    return _split(f, projected, along)
 
 
 def eval_kernel(n: int, x: tuple, y: tuple) -> tuple[tuple[float, float], tuple[float, float]]:

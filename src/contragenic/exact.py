@@ -37,6 +37,12 @@ scalar polynomials and serves it by one of two paths:
 * the moment path ``moment_pairing`` for everything else: a double loop over
   term pairs against the closed-form ball moments, O(|p| |q|).  It is exact
   for every input and is the oracle the Fischer path is tested against.
+
+Harmonicity is memoized per ``TriPoly`` and follows the ring operations: a
+sum or difference of polynomials known to be harmonic (or empty) is flagged
+harmonic, and negation and scaling copy the memo of their operand.  Fields
+assembled from the cached harmonic bases (projections, decompositions)
+therefore reach the Fischer path without computing a Laplacian.
 """
 
 from __future__ import annotations
@@ -63,6 +69,23 @@ def _as_fraction(value: int | Fraction) -> Fraction:
 def grlex_key(exps: Monomial) -> tuple[int, Monomial]:
     """Graded-lex sort key: total degree first, then the exponent triple."""
     return (sum(exps), exps)
+
+
+def _known_harmonic(p: TriPoly) -> bool:
+    """True when p is known harmonic without a Laplacian: memo or no terms.
+
+    A sum of harmonic polynomials is harmonic, so ``+`` and ``-`` flag their
+    result when both operands pass this test; a sum involving anything else
+    gets no flag and pays a Laplacian if asked.
+    """
+    return not p.terms or getattr(p, "_harmonic", False)
+
+
+def _copy_harmonic(source: TriPoly, result: TriPoly) -> None:
+    """Negation and nonzero scaling keep harmonicity either way: copy the memo."""
+    memo = getattr(source, "_harmonic", None)
+    if memo is not None:
+        result._harmonic = memo
 
 
 class TriPoly:
@@ -121,11 +144,14 @@ class TriPoly:
                 out.pop(exps, None)
         result = TriPoly.__new__(TriPoly)
         result.terms = out
+        if _known_harmonic(self) and _known_harmonic(other):
+            result._harmonic = True
         return result
 
     def __neg__(self) -> TriPoly:
         result = TriPoly.__new__(TriPoly)
         result.terms = {exps: -coeff for exps, coeff in self.terms.items()}
+        _copy_harmonic(self, result)
         return result
 
     def __sub__(self, other: TriPoly) -> TriPoly:
@@ -155,6 +181,7 @@ class TriPoly:
             return TriPoly.zero()
         result = TriPoly.__new__(TriPoly)
         result.terms = {exps: coeff * frac for exps, coeff in self.terms.items()}
+        _copy_harmonic(self, result)
         return result
 
     def __pow__(self, exponent: int) -> TriPoly:
@@ -189,25 +216,32 @@ class TriPoly:
         return result
 
     def laplacian(self) -> TriPoly:
-        out: dict[Monomial, Fraction] = {}
+        # integer numerators over one common denominator: the sums are exact
+        # and, for the common harmonic case, no Fraction is ever built
+        common = math.lcm(*(coeff.denominator for coeff in self.terms.values()))
+        out: dict[Monomial, int] = {}
         for (a, b, c), coeff in self.terms.items():
-            # a factor of 0 leaves the term out, so no exponent goes negative
-            for exps, factor in (
-                ((a - 2, b, c), a * (a - 1)),
-                ((a, b - 2, c), b * (b - 1)),
-                ((a, b, c - 2), c * (c - 1)),
-            ):
-                if factor:
-                    out[exps] = out.get(exps, 0) + coeff * factor
+            numerator = coeff.numerator * (common // coeff.denominator)
+            if a > 1:
+                exps = (a - 2, b, c)
+                out[exps] = out.get(exps, 0) + numerator * a * (a - 1)
+            if b > 1:
+                exps = (a, b - 2, c)
+                out[exps] = out.get(exps, 0) + numerator * b * (b - 1)
+            if c > 1:
+                exps = (a, b, c - 2)
+                out[exps] = out.get(exps, 0) + numerator * c * (c - 1)
         result = TriPoly.__new__(TriPoly)
-        result.terms = {exps: coeff for exps, coeff in out.items() if coeff}
+        result.terms = {exps: Fraction(num, common) for exps, num in out.items() if num}
         return result
 
     def is_harmonic(self) -> bool:
         """True when the Laplacian vanishes; computed once per object.
 
         The memo is sound because no operation mutates ``terms`` after
-        construction: every result is a new object with an empty memo.
+        construction.  A result of ``+``, ``-``, unary ``-`` or ``scale``
+        starts with the memo its operands determine (see
+        ``_known_harmonic``); every other result starts with an empty memo.
         """
         try:
             return self._harmonic

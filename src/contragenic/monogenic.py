@@ -93,7 +93,8 @@ class MonogenicBasisElement:
 def _monogenic_element(kind: str, n: int, m: int) -> MonogenicBasisElement:
     source = solid_harmonic("U" if kind == "X" else "V", n + 1, m)
     field = d_of_scalar(source.poly).scale(Fraction(1, 2))
-    if not apply_dbar(field, "left").is_zero():
+    # is_harmonic() also memoizes the flag that sums of basis fields inherit
+    if not apply_dbar(field, "left").is_zero() or not field.is_harmonic():
         raise AssertionError(f"construction of {kind}({n},{m}) is not monogenic")
     return MonogenicBasisElement(kind, n, m, field)
 

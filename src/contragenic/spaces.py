@@ -244,15 +244,14 @@ def contragenic_recipe(label: str, n: int, m: int) -> tuple[UVCombo, UVCombo]:
 @lru_cache(maxsize=None)
 def _contragenic_basis_cached(n: int) -> tuple[ContragenicBasisElement, ...]:
     indices = [("Z0", 0)] + [(label, m) for m in range(1, n) for label in ("Z+", "Z-")]
-    return tuple(
-        ContragenicBasisElement(
-            label,
-            n,
-            m,
-            VecField(_ZERO, *(uv_poly(n, part) for part in contragenic_recipe(label, n, m))),
-        )
-        for label, m in indices
-    )
+    out = []
+    for label, m in indices:
+        field = VecField(_ZERO, *(uv_poly(n, part) for part in contragenic_recipe(label, n, m)))
+        # is_harmonic() also memoizes the flag that sums of basis fields inherit
+        if not field.is_harmonic():
+            raise AssertionError(f"{label}({n},{m}) is not harmonic")
+        out.append(ContragenicBasisElement(label, n, m, field))
+    return tuple(out)
 
 
 def contragenic_basis(n: int) -> list[ContragenicBasisElement]:

@@ -2,13 +2,21 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import contragenic.bergman as bergman
+import contragenic.exact as exact
+from contragenic.checks import bergman_suite
 from contragenic import (
+    PiRational,
+    QuatField,
     TriPoly,
     VecField,
     contragenic_basis,
@@ -17,6 +25,7 @@ from contragenic import (
     inner_product,
     kernel,
     kernel_from_orthogonal,
+    moment_pairing,
     monogenic_X,
     norm_sq,
     point_eval_bound_check,
@@ -26,7 +35,7 @@ from contragenic import (
     vec_basis,
 )
 
-from util import exact_gram_schmidt, random_invertible_matrix
+from util import exact_gram_schmidt, random_invertible_matrix, random_tripoly
 
 ZERO = TriPoly.zero()
 N_MAX = 6
@@ -142,6 +151,135 @@ class TestProjection:
         for n in range(3):
             per_degree = per_degree + project(f, n).projected
         assert (total.projected - per_degree).is_zero()
+
+
+def _moment_norm_sq(field) -> PiRational:
+    """||field||^2 by the moment oracle alone, whatever the harmonic flags say."""
+    total = PiRational.zero()
+    for p in field.components():
+        total = total + moment_pairing(p, p)
+    return total
+
+
+def _assert_norms_match_moments(result) -> None:
+    assert result.projected_norm_sq == _moment_norm_sq(result.projected)
+    assert result.residual_norm_sq == _moment_norm_sq(result.residual)
+
+
+def _sparse_field(rng: random.Random, degree: int) -> VecField:
+    """One random monomial per degree 0..degree on each of e1 and e2."""
+    comps = []
+    for _axis in (1, 2):
+        terms = {}
+        for n in range(degree + 1):
+            a = rng.randint(0, n)
+            b = rng.randint(0, n - a)
+            terms[(a, b, n - a - b)] = Fraction(rng.choice([-7, -3, -1, 1, 2, 5]), rng.randint(1, 9))
+        comps.append(TriPoly(terms))
+    return VecField(ZERO, *comps)
+
+
+_MONOMIAL = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)).filter(
+    lambda e: sum(e) <= 4
+)
+_POLY = st.dictionaries(
+    _MONOMIAL, st.fractions(min_value=-9, max_value=9, max_denominator=9), max_size=6
+).map(TriPoly)
+
+
+class TestProjectionNorms:
+    """Norms by bilinearity against the moment oracle on the returned fields."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_POLY, _POLY)
+    def test_non_harmonic_fields(self, c1, c2):
+        f = VecField(ZERO, c1, c2)
+        assume(not f.is_harmonic())
+        for n in range(5):
+            _assert_norms_match_moments(project(f, n))
+        _assert_norms_match_moments(project_truncated(f, 4))
+
+    def test_dense_products(self):
+        rng = random.Random(31)
+        for _ in range(3):
+            q = random_tripoly(rng, 2, terms=6)
+            r = random_tripoly(rng, 2, terms=6)
+            f = VecField(ZERO, q * q, q * r)
+            for n in (2, 4):
+                _assert_norms_match_moments(project(f, n))
+            _assert_norms_match_moments(project_truncated(f, 4))
+
+    def test_quat_input_with_zero_e3(self):
+        rng = random.Random(32)
+        c1, c2 = random_tripoly(rng, 3, terms=5), random_tripoly(rng, 3, terms=5)
+        quat = QuatField(ZERO, c1, c2, ZERO)
+        for split in (project(quat, 3), project_truncated(quat, 3)):
+            _assert_norms_match_moments(split)
+        assert project(quat, 3) == project(VecField(ZERO, c1, c2), 3)
+
+    def test_zero_field(self):
+        for split in (project(VecField.zero(), 2), project_truncated(VecField.zero(), 3)):
+            assert split.projected.is_zero() and split.residual.is_zero()
+            assert split.projected_norm_sq.is_zero() and split.residual_norm_sq.is_zero()
+
+    def test_no_moment_pairing_of_two_dense_operands(self, monkeypatch):
+        # the residual of a sparse non-harmonic field is dense; its norm must
+        # come by bilinearity, not from an O(T^2) moment pairing
+        rng = random.Random(12)
+        f = _sparse_field(rng, 12)
+        assert not f.is_harmonic()
+        for n in range(13):
+            kernel(n)
+        sizes = []
+        real = exact.moment_pairing
+
+        def recording(p, q):
+            sizes.append((len(p.terms), len(q.terms)))
+            return real(p, q)
+
+        monkeypatch.setattr(exact, "moment_pairing", recording)
+        result = project_truncated(f, 12)
+        monkeypatch.undo()
+        assert sizes
+        assert max(min(pair) for pair in sizes) <= 30, max(sizes, key=min)
+        assert max(len(p.terms) for p in result.residual.components()) > 30
+        _assert_norms_match_moments(result)
+
+    def test_pythagoras_row_catches_a_broken_kernel(self, monkeypatch):
+        # doubling one rank-1 weight makes the operator a non-projection:
+        # <f, Pf> and ||Pf||^2 then differ, so the bilinear ||r||^2 breaks
+        # Pythagoras.  ||r||^2 = ||f||^2 - ||Pf||^2 would have passed.
+        real = bergman.kernel
+
+        def doubled(n):
+            k = real(n)
+            if n != 2:
+                return k
+            first = dataclasses.replace(k.pairs[0], weight=2 * k.pairs[0].weight)
+            return dataclasses.replace(k, pairs=(first,) + k.pairs[1:])
+
+        monkeypatch.setattr(bergman, "kernel", doubled)
+        failed = {r.name for r in bergman_suite(2) if not r.passed}
+        assert "Pythagoras at degree 2" in failed
+        assert "Pythagoras at degree 1" not in failed
+        mixed = vec_basis(2)[0].field + contragenic_basis(2)[0].field
+        split = project(mixed, 2)
+        tautological = norm_sq(mixed) - split.projected_norm_sq
+        assert split.residual_norm_sq != tautological
+
+    def test_dropped_pair_keeps_pythagoras_but_fails_reproduction(self, monkeypatch):
+        # with one rank-1 pair dropped the operator is still an orthogonal
+        # projection (onto a smaller space), so Pythagoras holds genuinely;
+        # the reproduction rows are the ones that catch it
+        real = bergman.kernel
+
+        def dropped(n):
+            k = real(n)
+            return dataclasses.replace(k, pairs=k.pairs[1:]) if n == 2 else k
+
+        monkeypatch.setattr(bergman, "kernel", dropped)
+        failed = {r.name for r in bergman_suite(2) if not r.passed}
+        assert failed == {f"Bergman reproduces Vec {vec_basis(2)[0].kind}(2,{vec_basis(2)[0].m})"}
 
 
 class TestEvalKernel:

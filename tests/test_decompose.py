@@ -188,3 +188,26 @@ class TestNormReport:
                 report.total_norm_sq
                 == report.ambigenic_norm_sq + report.contragenic_norm_sq
             )
+
+    def test_warm_degree_twelve_pays_only_the_input_laplacians(self, monkeypatch):
+        # basis fields carry their harmonic flag from the cached builders and
+        # every sum and scaling of them inherits it, so decompose and
+        # norm_report compute no Laplacian beyond the input check
+        rng = random.Random(12)
+        f = random_harmonic_field(rng, 12, density=0.5)
+
+        def fresh():
+            return VecField(*(TriPoly(p.terms) for p in f.components()))
+
+        norm_report(decompose(fresh()))  # warm the basis caches
+        calls = []
+        laplacian = TriPoly.laplacian
+
+        def counting(self):
+            calls.append(len(self.terms))
+            return laplacian(self)
+
+        monkeypatch.setattr(TriPoly, "laplacian", counting)
+        report = norm_report(decompose(fresh()))
+        assert len(calls) == 3
+        assert report.total_norm_sq == report.ambigenic_norm_sq + report.contragenic_norm_sq

@@ -81,6 +81,13 @@ class TestPartialAndEval:
         assert harmonic.laplacian().is_zero()
         assert not (X0 * X0).laplacian().is_zero()
 
+    def test_laplacian_is_sum_of_second_partials(self):
+        rng = random.Random(77)
+        for _ in range(40):
+            p = random_tripoly(rng, 6, terms=8)
+            second = [p.partial(axis).partial(axis) for axis in range(3)]
+            assert p.laplacian() == second[0] + second[1] + second[2]
+
     def test_eval_exact(self):
         p = X0 * X0 + X1 * X1
         assert p.eval((Fraction(1), Fraction(0), Fraction(0))) == 1
@@ -232,6 +239,102 @@ class TestPairingPaths:
         whole = X1 + harmonic
         assert whole.is_harmonic()
         assert all(part.is_harmonic() for part in whole.homogeneous_parts().values())
+
+
+def _memo(p: TriPoly):
+    """The harmonic memo of p, or None when it has none."""
+    return getattr(p, "_harmonic", None)
+
+
+_MONOMIAL = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
+_COEFF = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+_ARBITRARY = st.dictionaries(_MONOMIAL, _COEFF, max_size=5).map(TriPoly)
+
+
+@st.composite
+def _operand(draw) -> TriPoly:
+    """A basis component or an arbitrary polynomial, with or without a memo.
+
+    Every draw is a fresh object, so computing a memo here leaves the shared
+    basis components untouched.
+    """
+    if draw(st.booleans()):
+        p = TriPoly(BASIS_COMPONENTS[draw(st.integers(0, len(BASIS_COMPONENTS) - 1))].terms)
+    else:
+        p = draw(_ARBITRARY)
+    if draw(st.booleans()):
+        p.is_harmonic()
+    return p
+
+
+class TestHarmonicMemoFollowsRingOps:
+    """Sums, differences, negations and scalings carry a sound harmonic memo."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        _operand(),
+        st.lists(
+            st.tuples(st.sampled_from(["add", "sub", "neg", "scale"]), _operand(), _COEFF),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    def test_memo_matches_laplacian(self, start, steps):
+        acc = start
+        for op, other, factor in steps:
+            both_known = bool(_memo(acc) or not acc.terms) and bool(
+                _memo(other) or not other.terms
+            )
+            if op == "add":
+                acc = acc + other
+            elif op == "sub":
+                acc = acc - other
+            elif op == "neg":
+                before = _memo(acc)
+                acc = -acc
+                assert _memo(acc) == before
+            else:
+                before = _memo(acc)
+                acc = acc.scale(factor)
+                if factor:
+                    assert _memo(acc) == before
+            if op in ("add", "sub") and both_known:
+                assert _memo(acc) is True
+            if _memo(acc) is not None:
+                assert _memo(acc) == (not acc.laplacian().terms), (op, acc)
+
+    def test_basis_sums_need_no_laplacian(self, monkeypatch):
+        parts = [TriPoly(p.terms) for p in BASIS_COMPONENTS[:40]]
+        for p in parts:
+            p.is_harmonic()
+        calls = []
+        monkeypatch.setattr(TriPoly, "laplacian", lambda self: calls.append(self))
+        total = TriPoly()
+        for k, p in enumerate(parts):
+            total = total + p.scale(k + 1) - (-p)
+        assert total.is_harmonic()
+        assert calls == []
+
+    def test_harmonic_plus_non_harmonic_has_no_memo(self):
+        harmonic = X0 * X0 - X1 * X1
+        assert harmonic.is_harmonic()
+        known = X0 * X0
+        assert not known.is_harmonic()
+        unknown = X0 * X0 * X1
+        for other in (known, unknown):
+            for result in (harmonic + other, other + harmonic, harmonic - other, other - harmonic):
+                assert _memo(result) is None
+                assert not result.is_harmonic()
+        # two non-harmonic operands can cancel to a harmonic sum: no memo either
+        assert _memo(known - known.scale(2)) is None
+
+    def test_empty_polynomial_counts_as_harmonic(self):
+        harmonic = X0 * X1
+        assert harmonic.is_harmonic()
+        for empty in (TriPoly(), TriPoly.zero(), harmonic.scale(0)):
+            assert _memo(empty + harmonic) is True
+            assert _memo(harmonic - empty) is True
+        assert _memo(TriPoly() + TriPoly()) is True
 
 
 class TestSphereIntegral:

@@ -151,6 +151,29 @@ class TestContragenicBasis:
         assert is_contragenic(z.field)
 
 
+class TestBuildersFlagHarmonic:
+    """Fresh builds of the cached bases carry the harmonic memo on every
+    component, so sums and scalings of basis fields inherit it."""
+
+    @staticmethod
+    def _flagged(field) -> bool:
+        return all(getattr(p, "_harmonic", None) is True or p.is_zero() for p in field.components())
+
+    def test_monogenic_elements(self):
+        from contragenic.monogenic import _monogenic_element
+
+        for n in range(4):
+            for m in range(n + 2):
+                assert self._flagged(_monogenic_element.__wrapped__("X", n, m).field)
+
+    def test_ambigenic_and_contragenic_bases(self):
+        from contragenic.spaces import _ambigenic_basis_cached, _contragenic_basis_cached
+
+        for n in range(1, 5):
+            assert all(self._flagged(e.field) for e in _ambigenic_basis_cached.__wrapped__(n))
+            assert all(self._flagged(e.field) for e in _contragenic_basis_cached.__wrapped__(n))
+
+
 class TestDimensionTable:
     def test_rows_match(self):
         for n in range(5):
