@@ -123,21 +123,23 @@ def _coerce_vector_field(f) -> VecField:
     return f
 
 
-def _projected(f: VecField, n: int) -> tuple[VecField, Fraction]:
-    """The degree-n Bergman projection Pf_n of an already coerced field.
+def _projected(f: VecField, degrees) -> tuple[VecField, Fraction]:
+    """The Bergman projection sum_n Pf_n over the given degrees of a coerced field.
 
-    Also returns <f, Pf_n> / pi = sum_k c_k <psi_k, f> / pi, which the
-    kernel pairings give for free.
+    Pf is assembled once, as one linear combination of the kernel fields per
+    component.  Also returns <f, Pf> / pi = sum_k c_k <psi_k, f> / pi, which
+    the kernel pairings give for free.
     """
-    projected = VecField.zero()
+    terms = []
     along = Fraction(0)
-    for pair in kernel(n).pairs:
-        pairing = inner_product(pair.right, f).q
-        coeff = -pair.weight * pairing
-        if coeff:
-            projected = projected + pair.left.scale(coeff)
-            along += coeff * pairing
-    return projected, along
+    for n in degrees:
+        for pair in kernel(n).pairs:
+            pairing = inner_product(pair.right, f).q
+            coeff = -pair.weight * pairing
+            if coeff:
+                terms.append((coeff, pair.left))
+                along += coeff * pairing
+    return VecField.combination(terms), along
 
 
 def _split(f: VecField, projected: VecField, along: Fraction) -> ProjectionResult:
@@ -162,7 +164,7 @@ def project(f, n: int) -> ProjectionResult:
     whence the sign flip against the stored negative weights.
     """
     f = _coerce_vector_field(f)
-    return _split(f, *_projected(f, n))
+    return _split(f, *_projected(f, (n,)))
 
 
 def project_truncated(f, max_degree: int) -> ProjectionResult:
@@ -174,13 +176,7 @@ def project_truncated(f, max_degree: int) -> ProjectionResult:
     f = _coerce_vector_field(f)
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
-    projected = VecField.zero()
-    along = Fraction(0)
-    for n in range(max_degree + 1):
-        part, part_along = _projected(f, n)
-        projected = projected + part
-        along += part_along
-    return _split(f, projected, along)
+    return _split(f, *_projected(f, range(max_degree + 1)))
 
 
 def eval_kernel(n: int, x: tuple, y: tuple) -> tuple[tuple[float, float], tuple[float, float]]:

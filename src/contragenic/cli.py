@@ -23,6 +23,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from .bergman import eval_kernel, kernel
 from .checks import DEFAULT_DEGREE_CAP, SUITES, run_suite
@@ -560,8 +561,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _shared_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -87,15 +87,15 @@ def decompose(f: VecField) -> Decomposition:
         if not p.is_harmonic():
             raise ValueError(f"input is not harmonic: Laplacian residual {p.laplacian()}")
 
-    monogenic = QuatField.zero()
-    antimonogenic = QuatField.zero()
-    contragenic = VecField.zero()
+    monogenic: list[tuple[Fraction, QuatField]] = []
+    antimonogenic: list[tuple[Fraction, QuatField]] = []
+    contragenic: list[tuple[Fraction, VecField]] = []
     coefficients: dict[CoefficientKey, Fraction] = {}
 
     for degree, part in degree_split(f):
         if degree == 0:
             # constants are monogenic constants; tie-break sends them left
-            monogenic = monogenic + part.as_quat()
+            monogenic.append((Fraction(1), part.as_quat()))
             for axis, label in ((0, "1"), (1, "e1"), (2, "e2")):
                 value = part.components()[axis].coefficient((0, 0, 0))
                 if value:
@@ -118,9 +118,9 @@ def decompose(f: VecField) -> Decomposition:
             base = monogenic_element(kind, degree, m).field
             if m == degree + 1:
                 # conj of a monogenic constant is -itself: keep it monogenic
-                monogenic = monogenic + conj(base).scale(coeff)
+                monogenic.append((coeff, conj(base)))
             else:
-                antimonogenic = antimonogenic + conj(base).scale(coeff)
+                antimonogenic.append((coeff, conj(base)))
                 mixing = ambigenic_coefficient(degree, m)
                 if mixing:
                     plus_coeffs[(kind, m)] = (
@@ -129,7 +129,7 @@ def decompose(f: VecField) -> Decomposition:
 
         for (kind, m), coeff in plus_coeffs.items():
             if coeff:
-                monogenic = monogenic + monogenic_element(kind, degree, m).field.scale(coeff)
+                monogenic.append((coeff, monogenic_element(kind, degree, m).field))
 
         for element in contragenic_basis(degree):
             coeff = inner_product(part, element.field) / contragenic_norm_sq(
@@ -137,9 +137,14 @@ def decompose(f: VecField) -> Decomposition:
             )
             if coeff:
                 coefficients[(degree, element.label, element.m)] = coeff
-                contragenic = contragenic + element.field.scale(coeff)
+                contragenic.append((coeff, element.field))
 
-    return Decomposition(monogenic, antimonogenic, contragenic, coefficients)
+    return Decomposition(
+        QuatField.combination(monogenic),
+        QuatField.combination(antimonogenic),
+        VecField.combination(contragenic),
+        coefficients,
+    )
 
 
 def norm_report(d: Decomposition) -> NormReport:

@@ -35,8 +35,24 @@ scalar polynomials and serves it by one of two paths:
 
   which costs O(min(|p|, |q|)) lookups;
 * the moment path ``moment_pairing`` for everything else: a double loop over
-  term pairs against the closed-form ball moments, O(|p| |q|).  It is exact
-  for every input and is the oracle the Fischer path is tested against.
+  term pairs against the closed-form ball moments (Folland, "How to
+  integrate a polynomial over a sphere", Amer. Math. Monthly 108, 2001)
+
+      int_B x0^a x1^b x2^c = 4 pi (a-1)!! (b-1)!! (c-1)!! / ((s+1)!! (s+3)),
+
+  s = a+b+c, zero unless a, b, c are all even.  Terms are grouped by the
+  parity of their exponents, so term pairs whose product has an odd
+  exponent are never visited.  It is exact for every input.
+
+Both closed forms share one denominator per total degree s of the product
+monomial: (2n+3)(2n+1)!! = (s+3)!! with s = 2n, and (s+1)!!(s+3) = (s+3)!!
+for even s.  So each path brings both operands to integer numerators over
+their common denominators d_p, d_q, sums the integer weights a!b!c! or
+(a-1)!!(b-1)!!(c-1)!! times P_alpha Q_beta per degree, and builds a single
+``Fraction`` at the end: (s+3)!! divides (t+3)!! for even s <= t, so the
+degree sums share the largest denominator, and the result is
+4 sum_s S_s ((t+3)!!/(s+3)!!) / ((t+3)!! d_p d_q).  ``linear_combination``
+sums c_k p_k the same way, one ``Fraction`` per result term.
 
 Harmonicity is memoized per ``TriPoly`` and follows the ring operations: a
 sum or difference of polynomials known to be harmonic (or empty) is flagged
@@ -50,7 +66,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 Monomial = tuple[int, int, int]
 
@@ -217,8 +233,10 @@ class TriPoly:
 
     def laplacian(self) -> TriPoly:
         # integer numerators over one common denominator: the sums are exact
-        # and, for the common harmonic case, no Fraction is ever built
-        common = math.lcm(*(coeff.denominator for coeff in self.terms.values()))
+        # and, for the common harmonic case, no Fraction is ever built.  The
+        # lcm takes a list: on CPython 3.11 math.lcm(*genexpr) grows the
+        # process's resident memory when called repeatedly.
+        common = math.lcm(*[coeff.denominator for coeff in self.terms.values()])
         out: dict[Monomial, int] = {}
         for (a, b, c), coeff in self.terms.items():
             numerator = coeff.numerator * (common // coeff.denominator)
@@ -396,10 +414,6 @@ class TSPoly:
     @staticmethod
     def s() -> TSPoly:
         return TSPoly(odd={0: 1})
-
-    @staticmethod
-    def from_t_coeffs(coeffs: Mapping[int, Fraction]) -> TSPoly:
-        return TSPoly(even=coeffs)
 
     # -- helpers on plain t-polynomials (dict power -> Fraction) ------------
 
@@ -753,12 +767,54 @@ def sphere_integral(p: TriPoly) -> PiRational:
     return PiRational(total)
 
 
+class _Memo(dict):
+    """Integer weight per key, computed from the key on first lookup."""
+
+    def __init__(self, compute):
+        super().__init__()
+        self._compute = compute
+
+    def __missing__(self, key):
+        value = self[key] = self._compute(*key)
+        return value
+
+
+#: a! b! c!, the Fischer weight of x0^a x1^b x2^c without its denominator
+_FACTORIAL_WEIGHTS = _Memo(
+    lambda a, b, c: math.factorial(a) * math.factorial(b) * math.factorial(c)
+)
+
+#: (a-1)!! (b-1)!! (c-1)!!, the ball moment of x0^a x1^b x2^c without its
+#: denominator; meaningful for even a, b, c only, which the callers ensure
+_MOMENT_WEIGHTS = _Memo(
+    lambda a, b, c: double_factorial(a - 1) * double_factorial(b - 1) * double_factorial(c - 1)
+)
+
+
 @lru_cache(maxsize=None)
-def _fischer_weight(a: int, b: int, c: int) -> Fraction:
-    """w(a, b, c) = 4 a! b! c! / ((2n+3) (2n+1)!!) with n = a+b+c, in units of pi."""
-    n = a + b + c
-    num = 4 * math.factorial(a) * math.factorial(b) * math.factorial(c)
-    return Fraction(num, (2 * n + 3) * double_factorial(2 * n + 1))
+def _degree_denominator(s: int) -> int:
+    """(s+3)!!, the denominator both closed forms share at product degree s."""
+    return double_factorial(s + 3)
+
+
+def _integer_numerators(coeffs: list[Fraction]) -> tuple[list[int], int]:
+    """The coefficients as integer numerators over their common denominator d."""
+    # a list, not a generator: see TriPoly.laplacian
+    common = math.lcm(*[coeff.denominator for coeff in coeffs])
+    return [coeff.numerator * (common // coeff.denominator) for coeff in coeffs], common
+
+
+def _ball_sum(sums: dict[int, int], denominator: int) -> Fraction:
+    """sum_s 4 S_s / ((s+3)!! denominator) over the per-degree integer sums S_s.
+
+    Every s is even and (s+3)!! divides (t+3)!! for s <= t, so the sums are
+    brought to the largest degree's denominator and one Fraction is built.
+    """
+    if not sums:
+        return Fraction(0)
+    top = _degree_denominator(max(sums))
+    total = sum(value * (top // _degree_denominator(s)) for s, value in sums.items())
+    return Fraction(4 * total, top * denominator)
 
 
 def scalar_pairing(p: TriPoly, q: TriPoly) -> PiRational:
@@ -773,28 +829,77 @@ def scalar_pairing(p: TriPoly, q: TriPoly) -> PiRational:
     if len(q.terms) < len(p.terms):
         p, q = q, p
     other = q.terms
-    total = Fraction(0)
-    for exps, coeff in p.terms.items():
-        match = other.get(exps)
-        if match is not None:
-            total += _fischer_weight(*exps) * coeff * match
-    return PiRational(total)
+    shared = [exps for exps in p.terms if exps in other]
+    p_nums, p_den = _integer_numerators([p.terms[exps] for exps in shared])
+    q_nums, q_den = _integer_numerators([other[exps] for exps in shared])
+    sums: dict[int, int] = {}
+    for exps, p_num, q_num in zip(shared, p_nums, q_nums):
+        s = 2 * (exps[0] + exps[1] + exps[2])
+        sums[s] = sums.get(s, 0) + _FACTORIAL_WEIGHTS[exps] * p_num * q_num
+    return PiRational(_ball_sum(sums, p_den * q_den))
 
 
 def moment_pairing(p: TriPoly, q: TriPoly) -> PiRational:
     """Exact L2(B^3) pairing of two arbitrary polynomials by ball moments.
 
-    Works term-by-term without forming the product polynomial, pairing every
-    term of p with every term of q.
+    Works term-by-term without forming the product polynomial.  The longer
+    operand is grouped by exponent parity and degree, and each term of the
+    shorter one meets only the group of its own parity: the product of two
+    terms has all exponents even exactly when their parities agree.
     """
-    total = Fraction(0)
-    for (a1, b1, c1), coeff1 in p.terms.items():
-        for (a2, b2, c2), coeff2 in q.terms.items():
-            a, b, c = a1 + a2, b1 + b2, c1 + c2
-            if a % 2 or b % 2 or c % 2:
-                continue
-            total += coeff1 * coeff2 * ball_monomial_integral(a, b, c).q
-    return PiRational(total)
+    if len(q.terms) < len(p.terms):
+        p, q = q, p
+    parities = [(a & 1) | (b & 1) << 1 | (c & 1) << 2 for a, b, c in p.terms]
+    wanted = set(parities)
+    kept = []
+    for (a, b, c), coeff in q.terms.items():
+        parity = (a & 1) | (b & 1) << 1 | (c & 1) << 2
+        if parity in wanted:
+            kept.append((parity, a, b, c, coeff))
+    q_nums, q_den = _integer_numerators([coeff for *_, coeff in kept])
+    groups: dict[int, dict[int, list[tuple[int, int, int, int]]]] = {}
+    for (parity, a, b, c, _), q_num in zip(kept, q_nums):
+        groups.setdefault(parity, {}).setdefault(a + b + c, []).append((a, b, c, q_num))
+    p_nums, p_den = _integer_numerators(list(p.terms.values()))
+    weights = _MOMENT_WEIGHTS
+    sums: dict[int, int] = {}
+    for (a1, b1, c1), parity, p_num in zip(p.terms, parities, p_nums):
+        for degree, terms in groups.get(parity, {}).items():
+            acc = 0
+            for a2, b2, c2, q_num in terms:
+                acc += q_num * weights[a1 + a2, b1 + b2, c1 + c2]
+            s = a1 + b1 + c1 + degree
+            sums[s] = sums.get(s, 0) + p_num * acc
+    return PiRational(_ball_sum(sums, p_den * q_den))
+
+
+def linear_combination(terms: Iterable[tuple[int | Fraction, TriPoly]]) -> TriPoly:
+    """The polynomial sum_k c_k p_k, built in one pass.
+
+    Equal to the chain ``zero + p_1.scale(c_1) + ...`` without copying the
+    partial sums: every c_k p_alpha is brought to one common denominator, the
+    integer numerators are summed per monomial and one ``Fraction`` is built
+    per nonzero result term.  The harmonic memo follows the rule of ``+``:
+    the result is flagged when every input with a nonzero coefficient is
+    known harmonic or empty.
+    """
+    scaled = []
+    for coeff, poly in terms:
+        coeff = _as_fraction(coeff)
+        if coeff:
+            nums, den = _integer_numerators(list(poly.terms.values()))
+            scaled.append((poly, coeff.numerator, coeff.denominator * den, nums))
+    common = math.lcm(*[den for _, _, den, _ in scaled])
+    sums: dict[Monomial, int] = {}
+    for poly, coeff_num, den, nums in scaled:
+        factor = coeff_num * (common // den)
+        for exps, num in zip(poly.terms, nums):
+            sums[exps] = sums.get(exps, 0) + factor * num
+    result = TriPoly.__new__(TriPoly)
+    result.terms = {exps: Fraction(num, common) for exps, num in sums.items() if num}
+    if all(_known_harmonic(poly) for poly, _, _, _ in scaled):
+        result._harmonic = True
+    return result
 
 
 def format_rational(value: Fraction) -> str:

@@ -21,8 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
-from .exact import PiRational, TriPoly, scalar_pairing
+from .exact import PiRational, TriPoly, linear_combination, scalar_pairing
 
 _ZERO = TriPoly.zero()
 
@@ -57,6 +58,11 @@ class VecField:
 
     def scale(self, factor: int | Fraction) -> VecField:
         return VecField(self.c0.scale(factor), self.c1.scale(factor), self.c2.scale(factor))
+
+    @staticmethod
+    def combination(terms: Iterable[tuple[int | Fraction, VecField]]) -> VecField:
+        """The field sum_k c_k f_k, one ``linear_combination`` per component."""
+        return VecField(*_combine_components(terms, 3))
 
     def is_zero(self) -> bool:
         return self.c0.is_zero() and self.c1.is_zero() and self.c2.is_zero()
@@ -133,6 +139,11 @@ class QuatField:
     def scale(self, factor: int | Fraction) -> QuatField:
         return QuatField(*(p.scale(factor) for p in self.components()))
 
+    @staticmethod
+    def combination(terms: Iterable[tuple[int | Fraction, QuatField]]) -> QuatField:
+        """The field sum_k c_k f_k, one ``linear_combination`` per component."""
+        return QuatField(*_combine_components(terms, 4))
+
     def __mul__(self, other: QuatField) -> QuatField:
         """Pointwise quaternion product."""
         if not isinstance(other, QuatField):
@@ -168,6 +179,14 @@ class QuatField:
 
     def __str__(self) -> str:
         return field_str(self.components())
+
+
+def _combine_components(terms, width: int) -> list[TriPoly]:
+    terms = [(coeff, field.components()) for coeff, field in terms]
+    return [
+        linear_combination([(coeff, comps[axis]) for coeff, comps in terms])
+        for axis in range(width)
+    ]
 
 
 def field_str(components) -> str:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import PiRational, TriPoly, TSPoly
+from .exact import PiRational, TriPoly, TSPoly, linear_combination
 from .fields import VecField, inner_product
 
 
@@ -186,10 +186,7 @@ def uv_combo(n: int, *terms: tuple[int | Fraction, str, int]) -> UVCombo:
 
 def uv_poly(n: int, combo: UVCombo) -> TriPoly:
     """Evaluate a combination of degree-n solid harmonics as a polynomial."""
-    total = TriPoly.zero()
-    for coeff, kind, m in combo:
-        total = total + uv_term(kind, n, m).scale(coeff)
-    return total
+    return linear_combination([(coeff, uv_term(kind, n, m)) for coeff, kind, m in combo])
 
 
 def degree_basis(n: int) -> list[SolidHarmonic]:

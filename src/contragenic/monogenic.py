@@ -81,10 +81,6 @@ class MonogenicBasisElement:
     m: int
     field: QuatField
 
-    def is_constant_type(self) -> bool:
-        """True for the top orders m = n+1, which are monogenic constants."""
-        return self.m == self.n + 1
-
     def __str__(self) -> str:
         return f"{self.kind}({self.n},{self.m}) = {self.field}"
 

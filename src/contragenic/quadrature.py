@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from .exact import TriPoly
 from .fields import inner_product
 
 # numpy is imported inside the functions that use it, so that importing the
@@ -112,14 +111,6 @@ def ball_quadrature_grid(radial: int, polar: int, azimuthal: int):
     return x0, x1, x2, weights
 
 
-def quad_scalar_product(p: TriPoly, q: TriPoly, radial: int, polar: int, azimuthal: int) -> float:
-    import numpy as np
-
-    x0, x1, x2, weights = ball_quadrature_grid(radial, polar, azimuthal)
-    values = p.eval_float(x0, x1, x2) * q.eval_float(x0, x1, x2)
-    return float(np.sum(values * weights))
-
-
 def quad_inner_product(f, g, radial: int, polar: int, azimuthal: int) -> float:
     """Numerical L2(B^3) inner product of two polynomial fields."""
     import numpy as np
@@ -131,14 +122,6 @@ def quad_inner_product(f, g, radial: int, polar: int, azimuthal: int) -> float:
             continue
         total = total + p.eval_float(x0, x1, x2) * q.eval_float(x0, x1, x2)
     return float(np.sum(total * weights))
-
-
-def quad_ball_integral(p: TriPoly, radial: int, polar: int, azimuthal: int) -> float:
-    """Numerical integral of a scalar polynomial over the unit ball."""
-    import numpy as np
-
-    x0, x1, x2, weights = ball_quadrature_grid(radial, polar, azimuthal)
-    return float(np.sum(p.eval_float(x0, x1, x2) * weights))
 
 
 @dataclass(frozen=True)

@@ -245,6 +245,26 @@ class TestProjectionNorms:
         assert max(len(p.terms) for p in result.residual.components()) > 30
         _assert_norms_match_moments(result)
 
+    def test_pf_is_assembled_once_not_per_kernel_pair(self, monkeypatch):
+        # the only sums left are the residual f - Pf, one per component; a
+        # running Pf + c_k psi_k would add once per kernel pair and component
+        rng = random.Random(13)
+        f = _sparse_field(rng, 12)
+        pairs = sum(len(kernel(n).pairs) for n in range(13))
+        assert pairs > 100
+        calls = []
+        real = TriPoly.__add__
+
+        def counting(self, other):
+            calls.append(None)
+            return real(self, other)
+
+        monkeypatch.setattr(TriPoly, "__add__", counting)
+        result = project_truncated(f, 12)
+        monkeypatch.undo()
+        assert len(calls) <= 3, len(calls)
+        assert result.projected + result.residual == f
+
     def test_pythagoras_row_catches_a_broken_kernel(self, monkeypatch):
         # doubling one rank-1 weight makes the operator a non-projection:
         # <f, Pf> and ||Pf||^2 then differ, so the bilinear ||r||^2 breaks

@@ -392,6 +392,40 @@ class TestExitCodes:
         assert code == 3
 
 
+def test_consecutive_in_process_calls_match_fresh_processes(capsys, monkeypatch):
+    # main reuses one parser per process; parsing must leave it unchanged, so
+    # every call answers as a fresh process does, usage errors included
+    builds = []
+    real = cli.build_parser
+
+    def counting():
+        builds.append(None)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._shared_parser.cache_clear()
+    runs = [
+        ["dims", "--max-degree", "2"],
+        ["basis", "--kind", "nope", "-n", "1"],
+        ["gram", "--kind", "UV", "-n", "1", "--format", "csv"],
+    ]
+    for argv in runs:
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "contragenic.cli", *argv], capture_output=True, text=True
+        )
+        assert (code, captured.out, captured.err) == (
+            fresh.returncode,
+            fresh.stdout,
+            fresh.stderr,
+        ), argv
+    assert [main(argv) for argv in (["check"], runs[0], runs[1])] == [2, 0, 2]
+    capsys.readouterr()
+    assert len(builds) == 1
+    cli._shared_parser.cache_clear()
+
+
 def test_console_entry_point_runs():
     result = subprocess.run(
         [sys.executable, "-m", "contragenic.cli", "dims", "--max-degree", "2"],

@@ -21,10 +21,17 @@ from contragenic import (
     scalar_pairing,
     sphere_monomial_integral,
 )
-from contragenic.fields import VecField
+from contragenic.exact import linear_combination
+from contragenic.fields import QuatField, VecField
 from contragenic.quadrature import quad_crosscheck
 
-from util import degree_system, random_tripoly
+from util import (
+    degree_system,
+    fraction_fischer_pairing,
+    fraction_moment_pairing,
+    random_quatfield,
+    random_tripoly,
+)
 
 X0 = TriPoly.variable(0)
 X1 = TriPoly.variable(1)
@@ -180,12 +187,20 @@ class TestPairingPaths:
     """The Fischer path of ``scalar_pairing`` against the moment oracle."""
 
     def test_every_pair_of_basis_components(self):
-        # same-degree pairs take the Fischer sum; cross-degree pairs must vanish
+        # same-degree pairs take the Fischer sum; cross-degree pairs must vanish.
+        # Both integer paths meet the Fraction-per-term oracles on every pair;
+        # the product integral, the costliest oracle, on every self-pairing
+        # and a fixed 1/25 of the other pairs.
         comps = BASIS_COMPONENTS
         assert len({p.degree() for p in comps}) == 7
         for i, p in enumerate(comps):
-            for q in comps[i:]:
-                assert scalar_pairing(p, q) == moment_pairing(p, q), (p, q)
+            for j, q in enumerate(comps[i:], start=i):
+                value = scalar_pairing(p, q)
+                expected = fraction_moment_pairing(p, q)
+                assert value == moment_pairing(p, q) == expected, (p, q)
+                assert value == fraction_fischer_pairing(p, q), (p, q)
+                if i == j or (i + j) % 25 == 0:
+                    assert ball_integral(p * q) == expected, (p, q)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -215,6 +230,25 @@ class TestPairingPaths:
             g = g + SYSTEM[index].scale(coeff)
         assert f.is_harmonic() and g.is_harmonic()
         assert inner_product(f, g) == _moment_inner_product(f, g)
+
+    def test_random_non_harmonic_mixed_degree(self):
+        rng = random.Random(20261018)
+        for _ in range(120):
+            p = random_tripoly(rng, rng.randint(0, 8), terms=rng.randint(1, 10))
+            q = random_tripoly(rng, rng.randint(0, 8), terms=rng.randint(1, 10))
+            expected = fraction_moment_pairing(p, q)
+            assert ball_integral(p * q) == expected, (p, q)
+            assert moment_pairing(p, q) == expected, (p, q)
+            assert scalar_pairing(p, q) == expected, (p, q)
+
+    def test_empty_polynomial(self):
+        zero = TriPoly()
+        for other in (zero, TriPoly.const(3), X0 * X0, BASIS_COMPONENTS[-1]):
+            for left, right in ((zero, other), (other, zero)):
+                for pairing in (scalar_pairing, moment_pairing):
+                    value = pairing(left, right)
+                    assert value == PiRational(0)
+                    assert type(value.q) is Fraction
 
     def test_non_harmonic_takes_moment_path(self):
         # x0^2 and 1 share no monomial, so the Fischer sum alone would give 0
@@ -441,3 +475,62 @@ class TestPiRational:
         assert PiRational(Fraction(1, 3)) < PiRational(Fraction(1, 2))
         assert PiRational(0).is_zero()
         assert PiRational(0) == 0
+
+
+def _chain(terms) -> TriPoly:
+    """sum_k c_k p_k by repeated ``+`` and ``scale``."""
+    total = TriPoly.zero()
+    for coeff, poly in terms:
+        total = total + poly.scale(coeff)
+    return total
+
+
+class TestLinearCombination:
+    """The one-pass sum against the ``+``/``scale`` chain."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(_COEFF, _operand()), max_size=6))
+    def test_equals_chain_with_sound_memo(self, terms):
+        result = linear_combination(terms)
+        assert result == _chain(terms)
+        assert all(type(value) is Fraction and value for value in result.terms.values())
+        known = all(_memo(poly) or not poly.terms for coeff, poly in terms if coeff)
+        assert (_memo(result) is True) == known
+        if _memo(result) is not None:
+            assert _memo(result) == (not result.laplacian().terms)
+
+    def test_zero_coefficients_empty_inputs_and_cancellation(self):
+        harmonic = X0 * X0 - X1 * X1
+        non_harmonic = X0 * X0
+        assert harmonic.is_harmonic() and not non_harmonic.is_harmonic()
+        assert linear_combination([]).terms == {}
+        assert linear_combination([(0, non_harmonic), (5, TriPoly())]).terms == {}
+        # a zero coefficient drops its input, memo included, as scale(0) does
+        scaled = linear_combination([(3, harmonic), (0, non_harmonic), (2, TriPoly())])
+        assert scaled == harmonic.scale(3) and _memo(scaled) is True
+        cancelled = linear_combination([(1, harmonic), (Fraction(1, 2), harmonic.scale(-2))])
+        assert cancelled.terms == {} and _memo(cancelled) is True
+        partial = linear_combination(
+            [(Fraction(2, 3), harmonic + X2 * X2), (Fraction(-2, 3), X2 * X2)]
+        )
+        assert partial == harmonic.scale(Fraction(2, 3)) == _chain(
+            [(Fraction(2, 3), harmonic + X2 * X2), (Fraction(-2, 3), X2 * X2)]
+        )
+        assert _memo(partial) is None and partial.is_harmonic()
+
+    def test_field_combinations_equal_chains(self):
+        rng = random.Random(7)
+        vec_terms = [(Fraction(k - 3, k + 1), SYSTEM[(7 * k) % len(SYSTEM)]) for k in range(8)]
+        vec_terms.append((Fraction(1), vec_terms[0][1].scale(Fraction(-2, 5))))
+        total = VecField.zero()
+        for coeff, field in vec_terms:
+            total = total + field.scale(coeff)
+        combined = VecField.combination(vec_terms)
+        assert combined == total and combined.is_harmonic()
+        assert all(_memo(p) is True for p in combined.components())
+        quat_terms = [(Fraction(k, 3), random_quatfield(rng, 4)) for k in range(5)]
+        quat = QuatField.zero()
+        for coeff, field in quat_terms:
+            quat = quat + field.scale(coeff)
+        assert QuatField.combination(quat_terms) == quat
+        assert QuatField.combination([]) == QuatField.zero()

@@ -2,18 +2,22 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 from contragenic import (
+    PiRational,
     QuatField,
     TriPoly,
     VecField,
     ambigenic_basis,
+    ball_monomial_integral,
     contragenic_basis,
     inner_product,
     norm_sq,
 )
+from contragenic.exact import double_factorial
 
 
 def random_fraction(rng: random.Random, span: int = 9) -> Fraction:
@@ -101,3 +105,41 @@ def random_invertible_matrix(rng: random.Random, size: int) -> list[list[Fractio
         ]
         if matrix_rank(matrix) == size:
             return matrix
+
+
+# -- Fraction-per-term pairing oracles ---------------------------------------
+#
+# The pairing loops as they were before the integer-numerator kernels in
+# ``exact``: one Fraction operation per term pair.  Tests compare the integer
+# paths against them.
+
+def fraction_moment_pairing(p: TriPoly, q: TriPoly) -> PiRational:
+    """Integral of p*q over the unit ball, term pair by term pair."""
+    total = Fraction(0)
+    for (a1, b1, c1), coeff1 in p.terms.items():
+        for (a2, b2, c2), coeff2 in q.terms.items():
+            a, b, c = a1 + a2, b1 + b2, c1 + c2
+            if a % 2 or b % 2 or c % 2:
+                continue
+            total += coeff1 * coeff2 * ball_monomial_integral(a, b, c).q
+    return PiRational(total)
+
+
+def _fischer_weight(a: int, b: int, c: int) -> Fraction:
+    """w(a, b, c) = 4 a! b! c! / ((2n+3) (2n+1)!!) with n = a+b+c, in units of pi."""
+    n = a + b + c
+    num = 4 * math.factorial(a) * math.factorial(b) * math.factorial(c)
+    return Fraction(num, (2 * n + 3) * double_factorial(2 * n + 1))
+
+
+def fraction_fischer_pairing(p: TriPoly, q: TriPoly) -> PiRational:
+    """The Fischer sum over shared monomials; equals <p, q> for harmonic p, q."""
+    if len(q.terms) < len(p.terms):
+        p, q = q, p
+    other = q.terms
+    total = Fraction(0)
+    for exps, coeff in p.terms.items():
+        match = other.get(exps)
+        if match is not None:
+            total += _fischer_weight(*exps) * coeff * match
+    return PiRational(total)
